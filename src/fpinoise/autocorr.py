@@ -15,14 +15,16 @@ for the transform of the mode commutator density,
 
 with pr1 the lag transform of the reflected field spectrum.  The white
 floors never enter the smooth values; they are carried as an explicit
-delta-function weight at zero lag.  A grid-based cosine transform with a
-rational tail correction handles arbitrary tabulated spectra and serves
-as the independent route in the tests.
+delta-function weight at zero lag.  Lags may be scalars or arrays: each
+lag curve is one array-valued residue transform, and the zero-lag
+normalisations use the closed forms |2 kappa2 g1(0)|^2 = p_t^2 and
+|pr1(0)|^2 = p_r^2.  A grid-based cosine transform with a rational tail
+correction handles arbitrary tabulated spectra and serves as the
+independent route in the tests.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -31,7 +33,7 @@ from scipy.special import sici
 
 from .cavity import FpiParams, reflected_power, transmitted_power
 from .errors import CoverageError, ParameterError
-from .fluctuations import SpectrumDecomposition, _amplitude
+from .fluctuations import SpectrumDecomposition
 from .lorentz import TWO_PI, lorentz_product_transform, product
 from .source import SourceParams, source_linewidth
 
@@ -79,32 +81,32 @@ def default_tau_grid(tau_max: float = 12.0, count: int = 601) -> np.ndarray:
     return np.linspace(0.0, tau_max, count)
 
 
-def cavity_amplitude_correlation(tau: float, fpi: FpiParams, src: SourceParams) -> complex:
+def cavity_amplitude_correlation(tau, fpi: FpiParams, src: SourceParams):
     """Lag transform g1(tau) of the in-cavity field spectrum, tau >= 0.
 
     Two-factor residue transform of the drive line times the mode
     response, scaled by p_in kappa1 / kappa_t; g1(0) equals the mean
-    photon number.
+    photon number.  A scalar lag gives a complex, an array of lags an
+    array.
     """
     g = source_linewidth(src)
     shape = product((0.0, g), (fpi.delta, fpi.kappa_t))
-    return _amplitude(fpi, src) * lorentz_product_transform(shape, tau)
+    return src.p_in * fpi.coupling * lorentz_product_transform(shape, tau)
 
 
-def commutator_correlation(tau: float, fpi: FpiParams) -> complex:
+def commutator_correlation(tau, fpi: FpiParams):
     """Lag transform of the mode commutator density: e^{-i delta tau - kappa_t tau}."""
-    return cmath.exp(-(1j * fpi.delta + fpi.kappa_t) * float(tau))
+    return np.exp(-(1j * fpi.delta + fpi.kappa_t) * np.asarray(tau, dtype=float))
 
 
-def reflected_amplitude_correlation(tau: float, fpi: FpiParams, src: SourceParams) -> complex:
-    """Lag transform of the reflected field spectrum, tau >= 0."""
+def reflected_amplitude_correlation(tau, fpi: FpiParams, src: SourceParams):
+    """Lag transform of the reflected field spectrum, tau >= 0, scalar or array."""
     g = source_linewidth(src)
-    b = 2.0 * fpi.kappa1 * (fpi.kappa2 + fpi.kappa0) / fpi.kappa_t
-    direct = math.exp(-g * float(tau))
+    direct = np.exp(-g * np.asarray(tau, dtype=float))
     removed = lorentz_product_transform(
         product((0.0, g), (fpi.delta, fpi.kappa_t)), tau
     )
-    return src.p_in * (direct - b * removed)
+    return src.p_in * (direct - fpi.removal_rate * removed)
 
 
 def cavity_autocorr(fpi: FpiParams, src: SourceParams, taus) -> AutoCorrelation:
@@ -115,13 +117,9 @@ def cavity_autocorr(fpi: FpiParams, src: SourceParams, taus) -> AutoCorrelation:
     quantum noise is colored, not white.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    classical = np.empty_like(taus)
-    quantum = np.empty_like(taus)
-    for i, tau in enumerate(taus):
-        g1 = cavity_amplitude_correlation(tau, fpi, src)
-        c1 = commutator_correlation(tau, fpi)
-        classical[i] = abs(g1) ** 2
-        quantum[i] = (g1 * c1.conjugate()).real
+    g1 = cavity_amplitude_correlation(taus, fpi, src)
+    classical = np.abs(g1) ** 2
+    quantum = (g1 * np.conj(commutator_correlation(taus, fpi))).real
     return AutoCorrelation(
         taus=taus,
         values=classical + quantum,
@@ -138,20 +136,15 @@ def transmitted_autocorr(
 
     The white quantum floor p_t appears solely as ``delta_weight``.
     With ``normalized=True`` the values are divided by the colored
-    variance (the zero-lag value), making values[0] equal one.
+    variance |2 kappa2 g1(0)|^2 = p_t^2 (the zero-lag value), making
+    values[0] equal one.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    scale = (2.0 * fpi.kappa2) ** 2
-    values = np.empty_like(taus)
-    for i, tau in enumerate(taus):
-        values[i] = scale * abs(cavity_amplitude_correlation(tau, fpi, src)) ** 2
-    if normalized:
-        variance = scale * abs(cavity_amplitude_correlation(0.0, fpi, src)) ** 2
-        if variance > 0.0:
-            values = values / variance
-    return AutoCorrelation(
-        taus=taus, values=values, delta_weight=transmitted_power(fpi, src)
-    )
+    values = (2.0 * fpi.kappa2) ** 2 * np.abs(cavity_amplitude_correlation(taus, fpi, src)) ** 2
+    p_t = transmitted_power(fpi, src)
+    if normalized and p_t**2 > 0.0:
+        values = values / p_t**2
+    return AutoCorrelation(taus=taus, values=values, delta_weight=p_t)
 
 
 def reflected_autocorr(
@@ -162,21 +155,19 @@ def reflected_autocorr(
     values(tau) = |pr1(tau)|^2 with delta weight p_r.  The report gives
     the rms deviation of values/values(0) from e^{-2 gamma_l tau}, the
     pure drive-line self-beat that dominates when little power enters
-    the cavity.
+    the cavity; values(0) = |pr1(0)|^2 = p_r^2.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    values = np.empty_like(taus)
-    for i, tau in enumerate(taus):
-        values[i] = abs(reflected_amplitude_correlation(tau, fpi, src)) ** 2
-    g = source_linewidth(src)
-    rate = 2.0 * g
-    v0 = abs(reflected_amplitude_correlation(0.0, fpi, src)) ** 2
+    values = np.abs(reflected_amplitude_correlation(taus, fpi, src)) ** 2
+    rate = 2.0 * source_linewidth(src)
+    p_r = reflected_power(fpi, src)
+    v0 = p_r**2
     if v0 > 0.0:
         deviation = values / v0 - np.exp(-rate * taus)
         rms = float(np.sqrt(np.mean(deviation**2)))
     else:
         rms = 0.0
-    ac = AutoCorrelation(taus=taus, values=values, delta_weight=reflected_power(fpi, src))
+    ac = AutoCorrelation(taus=taus, values=values, delta_weight=p_r)
     return ac, ExponentialFit(rate=rate, rms_deviation=rms)
 
 

@@ -60,6 +60,20 @@ class FpiParams:
         return self.kappa1 + self.kappa2 + self.kappa0
 
     @property
+    def coupling(self) -> float:
+        """Input coupling kappa1 / kappa_t: the drive share entering the mode."""
+        return self.kappa1 / self.kappa_t
+
+    @property
+    def removal_rate(self) -> float:
+        """B = 2 kappa1 (kappa2 + kappa0) / kappa_t.
+
+        Weight of the mode response removed from the reflected drive
+        line: p_r(w) = p_in(w) [1 - B L(w - delta, kappa_t)].
+        """
+        return 2.0 * self.kappa1 * (self.kappa2 + self.kappa0) / self.kappa_t
+
+    @property
     def mode_line(self) -> Lorentzian:
         """The bare mode response line, centered at the detuning."""
         return Lorentzian(self.delta, self.kappa_t)
@@ -96,7 +110,7 @@ def commutator_spectrum(omega, fpi: FpiParams):
 
 def cavity_field_spectrum(omega, fpi: FpiParams, src: SourceParams):
     """In-cavity photon spectral density n(w); drive line times mode response."""
-    return (fpi.kappa1 / fpi.kappa_t) * input_spectrum(omega, src) * commutator_spectrum(omega, fpi)
+    return fpi.coupling * input_spectrum(omega, src) * commutator_spectrum(omega, fpi)
 
 
 def mean_photon_number(fpi: FpiParams, src: SourceParams) -> float:
@@ -107,12 +121,7 @@ def mean_photon_number(fpi: FpiParams, src: SourceParams) -> float:
     summed widths.
     """
     g = source_linewidth(src)
-    return (
-        fpi.kappa1
-        / fpi.kappa_t
-        * src.p_in
-        * lorentz_value(fpi.delta, Lorentzian(0.0, fpi.kappa_t + g))
-    )
+    return fpi.coupling * src.p_in * lorentz_value(fpi.delta, Lorentzian(0.0, fpi.kappa_t + g))
 
 
 def transmitted_spectrum(omega, fpi: FpiParams, src: SourceParams):
@@ -132,13 +141,7 @@ def reflected_spectrum(omega, fpi: FpiParams, src: SourceParams):
     gap at the mode center and complements transmission and absorption
     to the exact input density at every frequency.
     """
-    removal = (
-        2.0
-        * fpi.kappa1
-        * (fpi.kappa2 + fpi.kappa0)
-        / fpi.kappa_t
-        * commutator_spectrum(omega, fpi)
-    )
+    removal = fpi.removal_rate * commutator_spectrum(omega, fpi)
     return input_spectrum(omega, src) * (1.0 - removal)
 
 
@@ -156,8 +159,7 @@ def reflection_coefficient_hwhm(fpi: FpiParams, gamma_l: float) -> float:
     ``gamma_l = 0`` gives the monochromatic limit.  Always within [0, 1]:
     the removed share 4 kappa1 (kappa2+kappa0) <= kappa_t^2.
     """
-    removal = 2.0 * fpi.kappa1 * (fpi.kappa2 + fpi.kappa0) / fpi.kappa_t
-    return 1.0 - removal * _response_weight(fpi, gamma_l)
+    return 1.0 - fpi.removal_rate * _response_weight(fpi, gamma_l)
 
 
 def transmission_coefficient_hwhm(fpi: FpiParams, gamma_l: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
@@ -48,28 +49,6 @@ from .oracle import (
 )
 from .output import FigureDataset
 from .source import SourceParams, input_spectrum, source_linewidth, source_regime
-
-FIGURE_IDS = (
-    "fig3a",
-    "fig3b",
-    "fig4a",
-    "fig4b",
-    "fig4c",
-    "fig4d",
-    "fig5a",
-    "fig5b",
-    "fig6a",
-    "fig6b",
-    "fig6c",
-    "fig6d",
-    "fig7a",
-    "fig7b",
-    "fig8a",
-    "fig8b",
-    "fig8c",
-    "fig8d",
-    "fig9",
-)
 
 _PANEL_POWER = dict(zip("abcd", SWEEP_POWERS))
 
@@ -260,29 +239,27 @@ def _fig9(cfg: RunConfig) -> FigureDataset:
     return FigureDataset("fig9", series, base_metadata(cfg, **weights))
 
 
+_FIGURES = {
+    "fig3a": _fig3a,
+    "fig3b": _fig3b,
+    **{f"fig4{panel}": partial(_fig4, panel=panel) for panel in "abcd"},
+    "fig5a": _fig5a,
+    "fig5b": _fig5b,
+    **{f"fig6{panel}": partial(_fig6, panel=panel) for panel in "abcd"},
+    **{f"fig7{which}": partial(_fig7, which=which) for which in "ab"},
+    **{f"fig8{panel}": partial(_fig8, panel=panel) for panel in "abcd"},
+    "fig9": _fig9,
+}
+FIGURE_IDS = tuple(_FIGURES)
+
+
 def run_figure(figure_id: str, cfg: RunConfig) -> FigureDataset:
     """Build the dataset behind one bundled figure preset."""
-    if figure_id not in FIGURE_IDS:
+    if figure_id not in _FIGURES:
         raise ParameterError(
             f"unknown figure id '{figure_id}'; choose from {', '.join(FIGURE_IDS)}"
         )
-    if figure_id == "fig3a":
-        return _fig3a(cfg)
-    if figure_id == "fig3b":
-        return _fig3b(cfg)
-    if figure_id.startswith("fig4"):
-        return _fig4(cfg, figure_id[-1])
-    if figure_id == "fig5a":
-        return _fig5a(cfg)
-    if figure_id == "fig5b":
-        return _fig5b(cfg)
-    if figure_id.startswith("fig6"):
-        return _fig6(cfg, figure_id[-1])
-    if figure_id.startswith("fig7"):
-        return _fig7(cfg, figure_id[-1])
-    if figure_id.startswith("fig8"):
-        return _fig8(cfg, figure_id[-1])
-    return _fig9(cfg)
+    return _FIGURES[figure_id](cfg)
 
 
 def spectra_product(cfg: RunConfig) -> FigureDataset:
@@ -358,18 +335,23 @@ def autocorr_product(cfg: RunConfig) -> FigureDataset:
     )
 
 
+def _coefficient_row(fpi: FpiParams, src: SourceParams) -> dict[str, float]:
+    """The scalar columns shared by the ``coeffs`` and ``sweep`` products."""
+    return {
+        "gamma_l": source_linewidth(src),
+        "photon_number": mean_photon_number(fpi, src),
+        "reflection": reflection_coefficient(fpi, src),
+        "transmission": transmission_coefficient(fpi, src),
+        "absorbed_fraction": absorbed_fraction(fpi, src),
+    }
+
+
 def coeffs_product(cfg: RunConfig) -> FigureDataset:
     """Scalar summary: linewidth, photon number and the energy fractions."""
-    fpi, src = cfg.fpi, cfg.source
+    row = _coefficient_row(cfg.fpi, cfg.source)
     return FigureDataset(
         "coeffs",
-        {
-            "gamma_l": np.array([source_linewidth(src)]),
-            "photon_number": np.array([mean_photon_number(fpi, src)]),
-            "reflection": np.array([reflection_coefficient(fpi, src)]),
-            "transmission": np.array([transmission_coefficient(fpi, src)]),
-            "absorbed_fraction": np.array([absorbed_fraction(fpi, src)]),
-        },
+        {name: np.array([value]) for name, value in row.items()},
         base_metadata(cfg),
     )
 
@@ -409,29 +391,14 @@ def oracle_product(cfg: RunConfig) -> FigureDataset:
 
 def sweep_product(cfg: RunConfig) -> FigureDataset:
     """Scalar summaries over the standard drive-power sweep."""
-    rows = {
-        "p_in": [],
-        "gamma_l": [],
-        "photon_number": [],
-        "reflection": [],
-        "transmission": [],
-        "absorbed_fraction": [],
-        "energy_split": [],
-    }
+    rows = []
     for p in SWEEP_POWERS:
         src = _sweep_source(cfg, p)
-        rows["p_in"].append(p)
-        rows["gamma_l"].append(source_linewidth(src))
-        rows["photon_number"].append(mean_photon_number(cfg.fpi, src))
-        rows["reflection"].append(reflection_coefficient(cfg.fpi, src))
-        rows["transmission"].append(transmission_coefficient(cfg.fpi, src))
-        rows["absorbed_fraction"].append(absorbed_fraction(cfg.fpi, src))
-        rows["energy_split"].append(
-            energy_split_fraction(cfg.fpi, src) if cfg.fpi.delta > 0 else math.nan
-        )
+        split = energy_split_fraction(cfg.fpi, src) if cfg.fpi.delta > 0 else math.nan
+        rows.append({"p_in": p, **_coefficient_row(cfg.fpi, src), "energy_split": split})
     return FigureDataset(
         "sweep",
-        {name: np.array(col) for name, col in rows.items()},
+        {name: np.array([row[name] for row in rows]) for name in rows[0]},
         base_metadata(cfg),
     )
 

@@ -88,10 +88,6 @@ class SpectrumDecomposition:
         return self.classical + self.quantum + self.white_floor
 
 
-def _amplitude(fpi: FpiParams, src: SourceParams) -> float:
-    return src.p_in * fpi.kappa1 / fpi.kappa_t
-
-
 def classical_noise_kernel(omega, fpi: FpiParams, src: SourceParams):
     """Self-correlation kernel of the intracavity line shape.
 
@@ -146,7 +142,7 @@ def reflection_cross_kernel(omega, fpi: FpiParams, src: SourceParams):
 
 def cavity_fluct_components(omega, fpi: FpiParams, src: SourceParams):
     """Classical and quantum parts of the in-cavity photon-number noise."""
-    a = _amplitude(fpi, src)
+    a = src.p_in * fpi.coupling
     classical = a * a * classical_noise_kernel(omega, fpi, src)
     quantum = a * quantum_noise_kernel(omega, fpi, src)
     return classical, quantum
@@ -172,7 +168,7 @@ def transmitted_fluct_components(omega, fpi: FpiParams, src: SourceParams):
     i.e. (2 kappa2)^2 times the classical in-cavity part; the quantum
     noise is the flat floor p_t.
     """
-    a = _amplitude(fpi, src)
+    a = src.p_in * fpi.coupling
     scale = (2.0 * fpi.kappa2) ** 2
     colored = scale * a * a * classical_noise_kernel(omega, fpi, src)
     return colored, transmitted_power(fpi, src)
@@ -197,13 +193,13 @@ def reflected_fluct_components(omega, fpi: FpiParams, src: SourceParams):
     share beating with itself:
 
         p_in^2 [L(w, 2 gamma_l) - B K2(w) + B^2 K0(w)],
-        B = 2 kappa1 (kappa2 + kappa0) / kappa_t,
+        B = 2 kappa1 (kappa2 + kappa0) / kappa_t  (FpiParams.removal_rate),
 
     with white floor p_r.  Nonnegative pointwise, being a self-
     correlation of a nonnegative spectrum.
     """
     g = source_linewidth(src)
-    b = 2.0 * fpi.kappa1 * (fpi.kappa2 + fpi.kappa0) / fpi.kappa_t
+    b = fpi.removal_rate
     self_beat = lorentz_value(omega, Lorentzian(0.0, 2.0 * g))
     colored = src.p_in**2 * (
         self_beat

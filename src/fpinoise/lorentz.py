@@ -101,10 +101,6 @@ class LorentzProduct:
             out = out * lorentz_value(omega, line)
         return out
 
-    @property
-    def width_sum(self) -> float:
-        return sum(line.hwhm for line in self.factors)
-
 
 def product(*center_width_pairs: tuple[float, float]) -> LorentzProduct:
     """Shorthand: ``product((c1, k1), (c2, k2), ...)``."""
@@ -118,15 +114,12 @@ class QuadratureSettings:
     rel_tol: float = 1e-11
     abs_tol: float = 1e-13
     max_subdivisions: int = 200
-    domain_half_width_multiplier: float = 1.0
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ParameterError("quadrature tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ParameterError("max_subdivisions must be at least 1")
-        if not self.domain_half_width_multiplier > 0.0:
-            raise ParameterError("domain_half_width_multiplier must be positive")
 
 
 DEFAULT_QUADRATURE = QuadratureSettings()
@@ -143,18 +136,16 @@ def adaptive_integral(
 ) -> IntegralEstimate:
     """Adaptive quadrature of ``f`` over the whole real axis.
 
-    The substitution w = m * tan(u) maps the axis onto (-pi/2, pi/2), so
+    The substitution w = tan(u) maps the axis onto (-pi/2, pi/2), so
     rational tails (decay at least 1/w^2) are integrated without any
-    truncation cutoff; ``m`` is ``settings.domain_half_width_multiplier``.
-    Returns the estimate and its error bound, or raises
-    :class:`ConvergenceError` when the requested tolerance cannot be met
-    within ``max_subdivisions``.
+    truncation cutoff.  Returns the estimate and its error bound, or
+    raises :class:`ConvergenceError` when the requested tolerance cannot
+    be met within ``max_subdivisions``.
     """
-    m = settings.domain_half_width_multiplier
 
     def transformed(u: float) -> float:
         t = math.tan(u)
-        return f(m * t) * m * (1.0 + t * t)
+        return f(t) * (1.0 + t * t)
 
     out = quad(
         transformed,
@@ -202,15 +193,18 @@ def _group_poles(poles: Sequence[complex], tol: float) -> list[list]:
 def _half_plane_sum(
     centers: Sequence[float],
     widths: Sequence[float],
-    tau: float,
-) -> complex:
+    tau: float | np.ndarray,
+) -> complex | np.ndarray:
     """Sum of residues needed for (1/2pi) * integral prod_i L(w - c_i, k_i) e^{-i w tau} dw.
 
     For tau >= 0 the contour closes in the lower half-plane; for tau == 0
     either closure works and the lower one is kept.  Raises
     :class:`_NearDegeneratePoles` when two distinct pole clusters nearly
     coincide (catastrophic cancellation territory); exactly repeated
-    poles are handled through their multiplicity.
+    poles are handled through their multiplicity.  The pole geometry does
+    not depend on the lag, so an array ``tau`` is grouped and checked once
+    and gives an array of sums; a float ``tau`` stays on scalar ``cmath``,
+    which is faster for the one-point integrals of the noise kernels.
     """
     width_sum = float(sum(widths))
     group_tol = GROUP_FACTOR * width_sum
@@ -230,19 +224,20 @@ def _half_plane_sum(
     for k in widths:
         prefactor *= 2.0 * k
 
+    exp = np.exp if isinstance(tau, np.ndarray) else cmath.exp
     all_groups = lower_groups + upper_groups
     total = 0.0 + 0.0j
     for pole, mult in lower_groups:
         others = [(q, mq) for q, mq in all_groups if q is not pole]
         # H(z) = C e^{-i z tau} prod (z - q)^{-mq}; residue = H^{(m-1)}(pole)/(m-1)!
-        h0 = prefactor * cmath.exp(-1j * pole * tau)
+        h0 = prefactor * exp(-1j * pole * tau)
         for q, mq in others:
             h0 /= (pole - q) ** mq
         if mult == 1:
             total += h0
             continue
         # log-derivative of H at the pole: s(z) = -i tau - sum mq/(z - q)
-        s = [complex(0.0, -tau) - sum(mq / (pole - q) for q, mq in others)]
+        s = [-1j * tau - sum(mq / (pole - q) for q, mq in others)]
         for j in range(1, mult - 1):
             fact = math.factorial(j) * (-1.0) ** (j + 1)
             s.append(fact * sum(mq / (pole - q) ** (j + 1) for q, mq in others))
@@ -304,28 +299,35 @@ def lorentz_product_integral(
 
 def lorentz_product_transform(
     prod: LorentzProduct,
-    tau: float,
+    tau: float | np.ndarray,
     settings: QuadratureSettings = DEFAULT_QUADRATURE,
-) -> complex:
+) -> complex | np.ndarray:
     """(1/2pi) * integral prod_i L(w - c_i, k_i) e^{-i w tau} dw for tau >= 0.
 
-    Exact residue evaluation; the same near-degeneracy fallback as
-    :func:`lorentz_product_integral`, done with the Fourier-weighted
-    quadrature of :func:`lorentz_transform_quadrature`.
+    ``tau`` is one lag, giving a ``complex``, or an array of lags, giving
+    a complex array of the same shape.  Exact residue evaluation with the
+    poles grouped and checked once per call; the same near-degeneracy
+    fallback as :func:`lorentz_product_integral`, done lag by lag with the
+    Fourier-weighted quadrature of :func:`lorentz_transform_quadrature`
+    under a single warning.
     """
-    if tau < 0.0:
+    lags = np.asarray(tau, dtype=float)
+    if np.any(lags < 0.0):
         raise ParameterError("transform lag must be nonnegative; use conjugation for tau < 0")
     centers = [line.center for line in prod.factors]
     widths = [line.hwhm for line in prod.factors]
     try:
-        return complex(_half_plane_sum(centers, widths, float(tau)))
+        values = _half_plane_sum(centers, widths, lags)
     except _NearDegeneratePoles:
         warnings.warn(
             "near-coincident poles: transform falls back to adaptive quadrature",
             DegeneratePolesWarning,
             stacklevel=2,
         )
-        return lorentz_transform_quadrature(prod, tau, settings)
+        values = np.array(
+            [lorentz_transform_quadrature(prod, float(t), settings) for t in lags.flat]
+        ).reshape(lags.shape)
+    return complex(values) if lags.ndim == 0 else values
 
 
 def lorentz_transform_quadrature(

@@ -116,6 +116,12 @@ class TestTransmittedAutocorr:
             ac = transmitted_autocorr(fpi, src, TAUS, normalized=True)
             assert ac.values[0] == pytest.approx(1.0, rel=1e-12)
 
+    def test_zero_lag_is_squared_delta_weight(self, fpi, sweep_sources):
+        # |2 kappa2 g1(0)|^2 = (2 kappa2 n)^2 = p_t^2
+        for src in sweep_sources:
+            ac = transmitted_autocorr(fpi, src, TAUS)
+            assert ac.values[0] == pytest.approx(transmitted_power(fpi, src) ** 2, rel=1e-12)
+
     def test_delta_weight_is_transmitted_power(self, fpi):
         src = SourceParams(p_in=5.0)
         ac = transmitted_autocorr(fpi, src, TAUS)
@@ -167,6 +173,12 @@ class TestReflectedAutocorr:
             lambda w: reflected_fluct_components(w, fpi, src)[0], 0.0
         )
         assert ac.values[0] == pytest.approx(variance, rel=1e-4)
+
+    def test_zero_lag_is_squared_delta_weight(self, fpi, sweep_sources):
+        # |pr1(0)|^2 = (R p_in)^2 = p_r^2
+        for src in sweep_sources:
+            ac, _ = reflected_autocorr(fpi, src, TAUS)
+            assert ac.values[0] == pytest.approx(reflected_power(fpi, src) ** 2, rel=1e-12)
 
     def test_delta_weight_is_reflected_power(self, fpi):
         src = SourceParams(p_in=1.5)

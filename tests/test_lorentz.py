@@ -12,12 +12,14 @@ from fpinoise import (
     ParameterError,
     QuadratureSettings,
     adaptive_integral,
+    default_tau_grid,
     lorentz_convolve,
     lorentz_product_integral,
     lorentz_product_transform,
     lorentz_value,
 )
 from fpinoise.lorentz import TWO_PI, lorentz_transform_quadrature, product
+from fpinoise.source import source_linewidth
 
 TIGHT = QuadratureSettings(rel_tol=1e-11, abs_tol=1e-14, max_subdivisions=400)
 
@@ -217,6 +219,7 @@ class TestProductTransform:
     def test_single_line_gives_exponential(self):
         for tau in (0.0, 0.5, 2.0, 9.0):
             value = lorentz_product_transform(product((0.0, 0.7)), tau)
+            assert type(value) is complex
             assert value == pytest.approx(math.exp(-0.7 * tau), rel=1e-13)
 
     def test_shifted_line_gives_rotating_exponential(self):
@@ -250,3 +253,27 @@ class TestProductTransform:
     def test_negative_lag_rejected(self):
         with pytest.raises(ParameterError):
             lorentz_product_transform(product((0.0, 1.0)), -1.0)
+        with pytest.raises(ParameterError):
+            lorentz_product_transform(product((0.0, 1.0)), np.array([0.0, 2.0, -1e-9, 3.0]))
+
+    def test_array_of_lags_matches_per_lag_calls(self, fpi, sweep_sources):
+        taus = default_tau_grid()
+        shapes = [
+            product((0.0, source_linewidth(src)), (fpi.delta, fpi.kappa_t))
+            for src in sweep_sources
+        ]
+        shapes.append(product((0.0, 0.5), (0.0, 0.5)))  # repeated pole
+        for prod in shapes:
+            values = lorentz_product_transform(prod, taus)
+            assert values.shape == taus.shape
+            per_lag = np.array([lorentz_product_transform(prod, float(t)) for t in taus])
+            assert np.allclose(values, per_lag, rtol=1e-12, atol=0.0)
+
+    def test_near_degenerate_array_falls_back_with_one_warning(self):
+        prod = product((0.0, 1.0), (0.0, 1.0 + 1e-11))
+        taus = np.array([0.0, 0.6, 2.5])
+        with pytest.warns(DegeneratePolesWarning) as record:
+            values = lorentz_product_transform(prod, taus)
+        assert len(record) == 1
+        per_lag = [lorentz_transform_quadrature(prod, float(t)) for t in taus]
+        assert np.array_equal(values, np.array(per_lag))
