@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .autocorr import (
     AutoCorrelation,
-    autocorr_from_spectrum,
     cavity_autocorr,
     default_tau_grid,
     dominant_oscillation_frequency,
@@ -43,8 +42,6 @@ from .fluctuations import (
     SpectrumDecomposition,
     cavity_fluctuation_spectrum,
     classical_noise_kernel,
-    general_cavity_fluct_spectrum,
-    general_freespace_fluct_spectrum,
     quantum_noise_kernel,
     reflected_fluct_spectrum,
     reflection_cross_kernel,
@@ -56,7 +53,6 @@ from .lorentz import (
     LorentzProduct,
     QuadratureSettings,
     adaptive_integral,
-    lorentz_convolve,
     lorentz_product_integral,
     lorentz_product_transform,
     lorentz_value,
@@ -97,7 +93,6 @@ __all__ = [
     "absorbed_fraction",
     "absorbed_spectrum",
     "adaptive_integral",
-    "autocorr_from_spectrum",
     "cavity_autocorr",
     "cavity_field_spectrum",
     "cavity_fluctuation_spectrum",
@@ -106,12 +101,9 @@ __all__ = [
     "default_tau_grid",
     "dominant_oscillation_frequency",
     "emitted_power",
-    "general_cavity_fluct_spectrum",
-    "general_freespace_fluct_spectrum",
     "input_spectrum",
     "intensity_fluct_spectrum",
     "load_config",
-    "lorentz_convolve",
     "lorentz_product_integral",
     "lorentz_product_transform",
     "lorentz_value",

@@ -15,12 +15,10 @@ for the transform of the mode commutator density,
 
 with pr1 the lag transform of the reflected field spectrum.  The white
 floors never enter the smooth values; they are carried as an explicit
-delta-function weight at zero lag.  Lags may be scalars or arrays: each
-lag curve is one array-valued residue transform, and the zero-lag
-normalisations use the closed forms |2 kappa2 g1(0)|^2 = p_t^2 and
-|pr1(0)|^2 = p_r^2.  A grid-based cosine transform with a rational tail
-correction handles arbitrary tabulated spectra and serves as the
-independent route in the tests.
+delta-function weight at zero lag.  Lags may be scalars or arrays: both
+g1 and pr1 are closed forms in the two poles of the drive line times the
+mode response, and the zero-lag normalisations use the closed forms
+|2 kappa2 g1(0)|^2 = p_t^2 and |pr1(0)|^2 = p_r^2.
 """
 
 from __future__ import annotations
@@ -29,12 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from .cavity import FpiParams, reflected_power, transmitted_power
-from .errors import CoverageError, ParameterError
-from .fluctuations import SpectrumDecomposition
-from .lorentz import TWO_PI, lorentz_product_transform, product
+from .errors import ParameterError
+from .lorentz import TWO_PI
 from .source import SourceParams, source_linewidth
 
 
@@ -81,17 +77,46 @@ def default_tau_grid(tau_max: float = 12.0, count: int = 601) -> np.ndarray:
     return np.linspace(0.0, tau_max, count)
 
 
+def _line_mode_transform(tau, g: float, k: float, d: float):
+    """(1/2pi) * integral L(w, g) L(w - d, k) e^{-i w tau} dw for tau >= 0.
+
+    The two lower poles -ig and d - ik give, with b = k + i d,
+
+        e^{-g tau} 2(k + g) / ((g + conj b)(g + b))
+            + 2g / (g + b) * (e^{-g tau} - e^{-b tau}) / (b - g).
+
+    The divided difference of the two exponentials is taken as
+    tau e^{-s tau} phi1(-(f - s) tau), phi1(z) = expm1(z)/z, where s is the
+    slower and f the faster of the decay rates g and b.  It does not
+    cancel as b -> g (McCurdy, Ng & Parlett, Math. Comp. 43 (1984) 501),
+    and phi1 never sees an argument with positive real part, so nothing
+    overflows at long lags.  A scalar lag gives a complex, an array of
+    lags an array.
+    """
+    lags = np.asarray(tau, dtype=float)
+    if np.any(lags < 0.0):
+        raise ParameterError("transform lag must be nonnegative")
+    b = complex(k, d)
+    slow, fast = (g, b) if k >= g else (b, g)
+    z = -(fast - slow) * lags
+    small = np.abs(z) < 1e-5
+    safe = np.where(small, 1.0, z)
+    phi1 = np.where(small, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(safe) / safe)
+    line = 2.0 * (k + g) / ((g + b.conjugate()) * (g + b))
+    mixed = 2.0 * g / (g + b)
+    values = line * np.exp(-g * lags) + mixed * lags * np.exp(-slow * lags) * phi1
+    return complex(values) if lags.ndim == 0 else values
+
+
 def cavity_amplitude_correlation(tau, fpi: FpiParams, src: SourceParams):
     """Lag transform g1(tau) of the in-cavity field spectrum, tau >= 0.
 
-    Two-factor residue transform of the drive line times the mode
-    response, scaled by p_in kappa1 / kappa_t; g1(0) equals the mean
-    photon number.  A scalar lag gives a complex, an array of lags an
-    array.
+    Lag transform of the drive line times the mode response, scaled by
+    p_in kappa1 / kappa_t; g1(0) equals the mean photon number.  A scalar
+    lag gives a complex, an array of lags an array.
     """
     g = source_linewidth(src)
-    shape = product((0.0, g), (fpi.delta, fpi.kappa_t))
-    return src.p_in * fpi.coupling * lorentz_product_transform(shape, tau)
+    return src.p_in * fpi.coupling * _line_mode_transform(tau, g, fpi.kappa_t, fpi.delta)
 
 
 def commutator_correlation(tau, fpi: FpiParams):
@@ -103,9 +128,7 @@ def reflected_amplitude_correlation(tau, fpi: FpiParams, src: SourceParams):
     """Lag transform of the reflected field spectrum, tau >= 0, scalar or array."""
     g = source_linewidth(src)
     direct = np.exp(-g * np.asarray(tau, dtype=float))
-    removed = lorentz_product_transform(
-        product((0.0, g), (fpi.delta, fpi.kappa_t)), tau
-    )
+    removed = _line_mode_transform(tau, g, fpi.kappa_t, fpi.delta)
     return src.p_in * (direct - fpi.removal_rate * removed)
 
 
@@ -169,79 +192,6 @@ def reflected_autocorr(
         rms = 0.0
     ac = AutoCorrelation(taus=taus, values=values, delta_weight=p_r)
     return ac, ExponentialFit(rate=rate, rms_deviation=rms)
-
-
-def _rational_tail_transform(taus: np.ndarray, edge: float, coefficient: float) -> np.ndarray:
-    """(1/2pi) * integral over |w| > edge of (a / w^2) e^{-i w tau} dw (real part).
-
-    Both tails together give (a/pi) * [cos(edge tau)/edge
-    - tau (pi/2 - Si(edge tau))]; integrating by parts reduces the
-    oscillatory tail to the sine integral.
-    """
-    si, _ = sici(edge * taus)
-    return (
-        coefficient
-        / math.pi
-        * (np.cos(edge * taus) / edge - taus * (0.5 * math.pi - si))
-    )
-
-
-def _grid_cosine_transform(
-    omegas: np.ndarray, values: np.ndarray, taus: np.ndarray
-) -> np.ndarray:
-    """(1/2pi) * integral S(w) cos(w tau) dw for an even tabulated spectrum.
-
-    Trapezoidal cosine sum over the grid plus a rational 1/w^2 tail
-    correction read off the edge values; accurate until the grid spacing
-    stops resolving either the spectrum or the oscillation.
-    """
-    out = np.empty_like(taus)
-    # chunk the (tau, omega) cosine matrix to keep memory flat
-    step = max(1, int(4e6 // max(omegas.size, 1)))
-    for start in range(0, taus.size, step):
-        block = taus[start : start + step, None]
-        integrand = values[None, :] * np.cos(block * omegas[None, :])
-        out[start : start + step] = np.trapezoid(integrand, omegas, axis=1) / TWO_PI
-    edge = min(abs(omegas[0]), abs(omegas[-1]))
-    if edge > 0.0:
-        tail_coeff = 0.5 * (
-            values[0] * omegas[0] ** 2 + values[-1] * omegas[-1] ** 2
-        )
-        out = out + _rational_tail_transform(taus, edge, tail_coeff)
-    return out
-
-
-def autocorr_from_spectrum(spec: SpectrumDecomposition, taus) -> AutoCorrelation:
-    """Cosine-transform a tabulated (even, decaying) fluctuation spectrum.
-
-    The classical and quantum components are transformed separately and
-    summed; the white floor becomes the delta weight.  Raises
-    :class:`CoverageError` when the grid leaves too much spectral mass
-    in the tails for the transform tolerance.
-    """
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if np.any(taus < 0.0):
-        raise ParameterError("lags must be nonnegative")
-    omegas = spec.omegas
-    colored = spec.colored
-    peak = float(np.max(np.abs(colored))) if colored.size else 0.0
-    if peak > 0.0:
-        edge_fraction = max(abs(colored[0]), abs(colored[-1])) / peak
-        if edge_fraction > 1e-3:
-            raise CoverageError(
-                "spectrum grid truncates the colored spectrum at "
-                f"{edge_fraction:.2e} of its peak; extend the grid",
-                required_half_width=float(abs(omegas[-1])) * math.sqrt(edge_fraction / 1e-3),
-            )
-    classical = _grid_cosine_transform(omegas, spec.classical, taus)
-    quantum = _grid_cosine_transform(omegas, spec.quantum, taus)
-    return AutoCorrelation(
-        taus=taus,
-        values=classical + quantum,
-        delta_weight=spec.white_floor,
-        classical=classical,
-        quantum=quantum,
-    )
 
 
 def dominant_oscillation_frequency(taus: np.ndarray, values: np.ndarray) -> float:

@@ -22,7 +22,7 @@ import sys
 
 from . import __version__
 from .config import FORMATS, load_config, apply_overrides
-from .errors import ConfigError, ConvergenceError, CoverageError, ParameterError
+from .errors import ConfigError, ConvergenceError, ParameterError
 from .figures import FIGURE_IDS, PRODUCT_BUILDERS, energy_split_report, run_figure
 from .output import write_dataset
 
@@ -90,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, CoverageError) as exc:
+    except ConvergenceError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except OSError as exc:

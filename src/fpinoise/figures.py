@@ -35,8 +35,8 @@ from .cavity import (
 from .config import SWEEP_POWERS, RunConfig, config_echo
 from .errors import ParameterError
 from .fluctuations import (
-    cavity_fluct_components,
     cavity_fluctuation_spectrum,
+    classical_noise_kernel,
     reflected_fluct_spectrum,
     transmitted_fluct_spectrum,
 )
@@ -360,7 +360,8 @@ def oracle_product(cfg: RunConfig) -> FigureDataset:
     """Stochastic estimate of the classical noise next to the analytic curve."""
     traj = simulate(cfg.fpi, cfg.source, cfg.sim)
     spec = intensity_fluct_spectrum(traj, cfg.sim)
-    analytic = cavity_fluct_components(spec.omegas, cfg.fpi, cfg.source)[0]
+    a = cfg.source.p_in * cfg.fpi.coupling
+    analytic = a * a * classical_noise_kernel(spec.omegas, cfg.fpi, cfg.source)
     mask = np.abs(spec.omegas) <= 10.0
     scale = math.sqrt(float(np.mean(analytic[mask] ** 2)))
     rms = (

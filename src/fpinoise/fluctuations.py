@@ -14,28 +14,18 @@ spectra plus a flat floor equal to the mean power,
 
     d2p(w) = (1/2pi) * integral p(w' - w) p(w') dw'  +  p.
 
-All integrals are rational and evaluated exactly on the residue engine;
-a tabulated-convolution route over arbitrary grids provides a second,
-independent path.
+All integrals are rational and evaluated exactly on the residue engine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import (
-    FpiParams,
-    SpectrumGrid,
-    mean_photon_number,
-    reflected_power,
-    transmitted_power,
-)
-from .errors import CoverageError, ParameterError
+from .cavity import FpiParams, reflected_power, transmitted_power
+from .errors import ParameterError
 from .lorentz import (
-    TWO_PI,
     Lorentzian,
     lorentz_product_integral,
     lorentz_value,
@@ -43,12 +33,6 @@ from .lorentz import (
     product,
 )
 from .source import SourceParams, source_linewidth
-
-# Acceptable truncated tail mass, as a fraction of the total integrand
-# mass, before a tabulated convolution refuses to answer.  Tails up to
-# this size are handled by the analytic 1/w^2 tail correction; beyond it
-# the tail model itself is no longer trustworthy.
-_TAIL_FRACTION = 2e-3
 
 
 @dataclass(frozen=True)
@@ -218,94 +202,3 @@ def reflected_fluct_spectrum(
     return SpectrumDecomposition(
         omegas, colored, np.zeros_like(colored), white_floor=floor
     )
-
-
-def _check_coverage(grid: SpectrumGrid, label: str) -> None:
-    """Reject tabulations whose 1/w^2 tails carry non-negligible mass."""
-    omegas, values = grid.omegas, grid.values
-    total = abs(np.trapezoid(values, omegas)) / TWO_PI
-    if total == 0.0:
-        return
-    for edge_value, edge_omega in ((values[0], omegas[0]), (values[-1], omegas[-1])):
-        if edge_omega == 0.0:
-            raise CoverageError(
-                f"{label}: grid must extend well past the spectrum support",
-                required_half_width=math.inf,
-            )
-        # rational-tail model p ~ a/w^2 beyond the edge
-        tail = abs(edge_value) * abs(edge_omega) / TWO_PI
-        if tail > _TAIL_FRACTION * total:
-            required = abs(edge_omega) * tail / (_TAIL_FRACTION * total)
-            raise CoverageError(
-                f"{label}: estimated tail mass beyond |w|={abs(edge_omega):g} is "
-                f"{tail:.3e} ({tail / total:.2e} of the total); extend the grid "
-                f"to roughly |w| <= {required:.3g}",
-                required_half_width=required,
-            )
-
-
-def _shifted(grid: SpectrumGrid, shift: float) -> np.ndarray:
-    """Values of the tabulated spectrum at omegas + shift, zero outside."""
-    return np.interp(grid.omegas + shift, grid.omegas, grid.values, left=0.0, right=0.0)
-
-
-def _tail_mass(grid: SpectrumGrid) -> float:
-    """Integrated 1/w^2 tail model beyond both grid edges, under dw/2pi."""
-    left = abs(grid.values[0]) * abs(grid.omegas[0])
-    right = abs(grid.values[-1]) * abs(grid.omegas[-1])
-    return (left + right) / TWO_PI
-
-
-def general_freespace_fluct_spectrum(p_spec: SpectrumGrid, omega: float):
-    """Free-space power noise from a tabulated field spectrum.
-
-    Returns ``(colored, white_floor)`` with
-    colored = (1/2pi) * integral p(w' - omega) p(w') dw' evaluated by
-    trapezoidal convolution on the grid, and white_floor the total
-    power: the trapezoidal mass plus the analytic 1/w^2 tail beyond the
-    grid edges.  (The tails contribute to the colored part only through
-    tail-times-tail overlap, negligible at the accepted coverage.)
-    Raises :class:`CoverageError` when the grid truncates the integrand
-    beyond what the tail model can absorb.
-    """
-    _check_coverage(p_spec, "free-space fluctuation spectrum")
-    colored = (
-        np.trapezoid(_shifted(p_spec, -float(omega)) * p_spec.values, p_spec.omegas)
-        / TWO_PI
-    )
-    floor = np.trapezoid(p_spec.values, p_spec.omegas) / TWO_PI + _tail_mass(p_spec)
-    return colored, floor
-
-
-def general_cavity_fluct_spectrum(
-    n_spec: SpectrumGrid, c_spec: SpectrumGrid, omega: float
-) -> float:
-    """In-cavity photon-number noise from tabulated field and commutator spectra.
-
-    Classical part: (1/2pi) * integral n(omega + w') n(w') dw'.
-    Quantum part:   (1/4pi) * integral [n(w' + omega) + n(w' - omega)] c(w') dw'.
-    Both are trapezoidal convolutions on the given grids; the commutator
-    grid must match the field grid.
-    """
-    if not np.array_equal(n_spec.omegas, c_spec.omegas):
-        raise ParameterError("field and commutator spectra must share one grid")
-    _check_coverage(n_spec, "cavity fluctuation spectrum")
-    _check_coverage(c_spec, "commutator spectrum")
-    w = float(omega)
-    classical = (
-        np.trapezoid(_shifted(n_spec, w) * n_spec.values, n_spec.omegas) / TWO_PI
-    )
-    quantum = (
-        np.trapezoid(
-            (_shifted(n_spec, w) + _shifted(n_spec, -w)) * c_spec.values,
-            n_spec.omegas,
-        )
-        / (2.0 * TWO_PI)
-    )
-    return classical + quantum
-
-
-def variance_check_values(fpi: FpiParams, src: SourceParams):
-    """Closed-form targets for the variance sum rules: (n^2, n, n(n+1))."""
-    n = mean_photon_number(fpi, src)
-    return n * n, n, n * (n + 1.0)

@@ -71,17 +71,6 @@ def lorentz_value(omega, line: Lorentzian):
     return out
 
 
-def lorentz_convolve(shift: float, g1: float, g2: float) -> float:
-    """Closed form of (1/2pi) * integral L(w, g1) L(shift - w, g2) dw.
-
-    Two Lorentzians convolve to a Lorentzian of summed widths, so the
-    result is L(shift, g1 + g2), exactly.
-    """
-    if not (g1 > 0.0 and g2 > 0.0):
-        raise ParameterError(f"convolution widths must be positive, got {g1}, {g2}")
-    return lorentz_value(shift, Lorentzian(0.0, g1 + g2))
-
-
 @dataclass(frozen=True)
 class LorentzProduct:
     """An ordered product of 1 to 4 Lorentzian factors of one variable."""

@@ -1,0 +1,206 @@
+"""Independent numerical routes that the tests compare the closed forms against.
+
+None of this is on a production path.  The tabulated routes work on
+arbitrary gridded spectra: trapezoidal convolutions for the fluctuation
+spectra and a trapezoidal cosine transform with a rational 1/w^2 tail
+correction for the lag autocorrelations.  Both refuse, with
+:class:`~fpinoise.CoverageError`, grids that truncate too much of the
+spectrum.  ``lorentz_convolve`` is the two-line closed form that checks
+the residue engine and the quadrature, and ``variance_check_values``
+gives the targets of the variance sum rules.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.special import sici
+
+from fpinoise.autocorr import AutoCorrelation
+from fpinoise.cavity import FpiParams, SpectrumGrid, mean_photon_number
+from fpinoise.errors import CoverageError, ParameterError
+from fpinoise.fluctuations import SpectrumDecomposition
+from fpinoise.lorentz import TWO_PI, Lorentzian, lorentz_value
+from fpinoise.source import SourceParams
+
+# Acceptable truncated tail mass, as a fraction of the total integrand
+# mass, before a tabulated convolution refuses to answer.  Tails up to
+# this size are handled by the analytic 1/w^2 tail correction; beyond it
+# the tail model itself is no longer trustworthy.
+_TAIL_FRACTION = 2e-3
+
+
+def lorentz_convolve(shift: float, g1: float, g2: float) -> float:
+    """Closed form of (1/2pi) * integral L(w, g1) L(shift - w, g2) dw.
+
+    Two Lorentzians convolve to a Lorentzian of summed widths, so the
+    result is L(shift, g1 + g2), exactly.
+    """
+    if not (g1 > 0.0 and g2 > 0.0):
+        raise ParameterError(f"convolution widths must be positive, got {g1}, {g2}")
+    return lorentz_value(shift, Lorentzian(0.0, g1 + g2))
+
+
+def _check_coverage(grid: SpectrumGrid, label: str) -> None:
+    """Reject tabulations whose 1/w^2 tails carry non-negligible mass."""
+    omegas, values = grid.omegas, grid.values
+    total = abs(np.trapezoid(values, omegas)) / TWO_PI
+    if total == 0.0:
+        return
+    for edge_value, edge_omega in ((values[0], omegas[0]), (values[-1], omegas[-1])):
+        if edge_omega == 0.0:
+            raise CoverageError(
+                f"{label}: grid must extend well past the spectrum support",
+                required_half_width=math.inf,
+            )
+        # rational-tail model p ~ a/w^2 beyond the edge
+        tail = abs(edge_value) * abs(edge_omega) / TWO_PI
+        if tail > _TAIL_FRACTION * total:
+            required = abs(edge_omega) * tail / (_TAIL_FRACTION * total)
+            raise CoverageError(
+                f"{label}: estimated tail mass beyond |w|={abs(edge_omega):g} is "
+                f"{tail:.3e} ({tail / total:.2e} of the total); extend the grid "
+                f"to roughly |w| <= {required:.3g}",
+                required_half_width=required,
+            )
+
+
+def _shifted(grid: SpectrumGrid, shift: float) -> np.ndarray:
+    """Values of the tabulated spectrum at omegas + shift, zero outside."""
+    return np.interp(grid.omegas + shift, grid.omegas, grid.values, left=0.0, right=0.0)
+
+
+def _tail_mass(grid: SpectrumGrid) -> float:
+    """Integrated 1/w^2 tail model beyond both grid edges, under dw/2pi."""
+    left = abs(grid.values[0]) * abs(grid.omegas[0])
+    right = abs(grid.values[-1]) * abs(grid.omegas[-1])
+    return (left + right) / TWO_PI
+
+
+def general_freespace_fluct_spectrum(p_spec: SpectrumGrid, omega: float):
+    """Free-space power noise from a tabulated field spectrum.
+
+    Returns ``(colored, white_floor)`` with
+    colored = (1/2pi) * integral p(w' - omega) p(w') dw' evaluated by
+    trapezoidal convolution on the grid, and white_floor the total
+    power: the trapezoidal mass plus the analytic 1/w^2 tail beyond the
+    grid edges.  (The tails contribute to the colored part only through
+    tail-times-tail overlap, negligible at the accepted coverage.)
+    Raises :class:`CoverageError` when the grid truncates the integrand
+    beyond what the tail model can absorb.
+    """
+    _check_coverage(p_spec, "free-space fluctuation spectrum")
+    colored = (
+        np.trapezoid(_shifted(p_spec, -float(omega)) * p_spec.values, p_spec.omegas)
+        / TWO_PI
+    )
+    floor = np.trapezoid(p_spec.values, p_spec.omegas) / TWO_PI + _tail_mass(p_spec)
+    return colored, floor
+
+
+def general_cavity_fluct_spectrum(
+    n_spec: SpectrumGrid, c_spec: SpectrumGrid, omega: float
+) -> float:
+    """In-cavity photon-number noise from tabulated field and commutator spectra.
+
+    Classical part: (1/2pi) * integral n(omega + w') n(w') dw'.
+    Quantum part:   (1/4pi) * integral [n(w' + omega) + n(w' - omega)] c(w') dw'.
+    Both are trapezoidal convolutions on the given grids; the commutator
+    grid must match the field grid.
+    """
+    if not np.array_equal(n_spec.omegas, c_spec.omegas):
+        raise ParameterError("field and commutator spectra must share one grid")
+    _check_coverage(n_spec, "cavity fluctuation spectrum")
+    _check_coverage(c_spec, "commutator spectrum")
+    w = float(omega)
+    classical = (
+        np.trapezoid(_shifted(n_spec, w) * n_spec.values, n_spec.omegas) / TWO_PI
+    )
+    quantum = (
+        np.trapezoid(
+            (_shifted(n_spec, w) + _shifted(n_spec, -w)) * c_spec.values,
+            n_spec.omegas,
+        )
+        / (2.0 * TWO_PI)
+    )
+    return classical + quantum
+
+
+def variance_check_values(fpi: FpiParams, src: SourceParams):
+    """Closed-form targets for the variance sum rules: (n^2, n, n(n+1))."""
+    n = mean_photon_number(fpi, src)
+    return n * n, n, n * (n + 1.0)
+
+
+def _rational_tail_transform(taus: np.ndarray, edge: float, coefficient: float) -> np.ndarray:
+    """(1/2pi) * integral over |w| > edge of (a / w^2) e^{-i w tau} dw (real part).
+
+    Both tails together give (a/pi) * [cos(edge tau)/edge
+    - tau (pi/2 - Si(edge tau))]; integrating by parts reduces the
+    oscillatory tail to the sine integral.
+    """
+    si, _ = sici(edge * taus)
+    return (
+        coefficient
+        / math.pi
+        * (np.cos(edge * taus) / edge - taus * (0.5 * math.pi - si))
+    )
+
+
+def _grid_cosine_transform(
+    omegas: np.ndarray, values: np.ndarray, taus: np.ndarray
+) -> np.ndarray:
+    """(1/2pi) * integral S(w) cos(w tau) dw for an even tabulated spectrum.
+
+    Trapezoidal cosine sum over the grid plus a rational 1/w^2 tail
+    correction read off the edge values; accurate until the grid spacing
+    stops resolving either the spectrum or the oscillation.
+    """
+    out = np.empty_like(taus)
+    # chunk the (tau, omega) cosine matrix to keep memory flat
+    step = max(1, int(4e6 // max(omegas.size, 1)))
+    for start in range(0, taus.size, step):
+        block = taus[start : start + step, None]
+        integrand = values[None, :] * np.cos(block * omegas[None, :])
+        out[start : start + step] = np.trapezoid(integrand, omegas, axis=1) / TWO_PI
+    edge = min(abs(omegas[0]), abs(omegas[-1]))
+    if edge > 0.0:
+        tail_coeff = 0.5 * (
+            values[0] * omegas[0] ** 2 + values[-1] * omegas[-1] ** 2
+        )
+        out = out + _rational_tail_transform(taus, edge, tail_coeff)
+    return out
+
+
+def autocorr_from_spectrum(spec: SpectrumDecomposition, taus) -> AutoCorrelation:
+    """Cosine-transform a tabulated (even, decaying) fluctuation spectrum.
+
+    The classical and quantum components are transformed separately and
+    summed; the white floor becomes the delta weight.  Raises
+    :class:`CoverageError` when the grid leaves too much spectral mass
+    in the tails for the transform tolerance.
+    """
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if np.any(taus < 0.0):
+        raise ParameterError("lags must be nonnegative")
+    omegas = spec.omegas
+    colored = spec.colored
+    peak = float(np.max(np.abs(colored))) if colored.size else 0.0
+    if peak > 0.0:
+        edge_fraction = max(abs(colored[0]), abs(colored[-1])) / peak
+        if edge_fraction > 1e-3:
+            raise CoverageError(
+                "spectrum grid truncates the colored spectrum at "
+                f"{edge_fraction:.2e} of its peak; extend the grid",
+                required_half_width=float(abs(omegas[-1])) * math.sqrt(edge_fraction / 1e-3),
+            )
+    classical = _grid_cosine_transform(omegas, spec.classical, taus)
+    quantum = _grid_cosine_transform(omegas, spec.quantum, taus)
+    return AutoCorrelation(
+        taus=taus,
+        values=classical + quantum,
+        delta_weight=spec.white_floor,
+        classical=classical,
+        quantum=quantum,
+    )

@@ -47,7 +47,6 @@ from fpinoise.fluctuations import (
     classical_noise_kernel,
     quantum_noise_kernel,
     reflection_cross_kernel,
-    variance_check_values,
 )
 from fpinoise.lorentz import TWO_PI
 from fpinoise.oracle import (
@@ -57,6 +56,7 @@ from fpinoise.oracle import (
     stationary_photon_number,
 )
 from fpinoise.source import SourceMicroParams, macro_params_from_medium
+from routes import variance_check_values
 
 FPI = FpiParams()
 SWEEP = (0.1, 1.5, 5.0, 50.0)

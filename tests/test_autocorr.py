@@ -1,6 +1,7 @@
-"""Lag autocorrelations: exact transforms vs cosine-quadrature and brute force."""
+"""Lag autocorrelations: closed forms vs residue, mpmath, cosine-quadrature and brute force."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,19 +9,22 @@ from scipy.integrate import quad
 
 from fpinoise import (
     CoverageError,
+    DegeneratePolesWarning,
     FpiParams,
+    ParameterError,
     SourceParams,
-    autocorr_from_spectrum,
     cavity_autocorr,
     cavity_field_spectrum,
     cavity_fluctuation_spectrum,
     commutator_spectrum,
     default_tau_grid,
     dominant_oscillation_frequency,
+    lorentz_product_transform,
     mean_photon_number,
     reflected_autocorr,
     transmitted_autocorr,
 )
+from fpinoise.autocorr import _line_mode_transform
 from fpinoise.cavity import reflected_power, transmitted_power
 from fpinoise.fluctuations import (
     SpectrumDecomposition,
@@ -28,9 +32,34 @@ from fpinoise.fluctuations import (
     reflected_fluct_components,
     transmitted_fluct_components,
 )
+from fpinoise.lorentz import product
 from fpinoise.source import source_linewidth
+from routes import autocorr_from_spectrum
 
 TAUS = default_tau_grid()
+
+
+def _mp_line_mode(mp, taus, g, k, d):
+    """Two-pole residue sum of the line-mode lag transform at 50 digits (mpc list)."""
+    with mp.workdps(50):
+        g, k, d = mp.mpf(g), mp.mpf(k), mp.mpf(d)
+        b = mp.mpc(k, d)
+        out = []
+        for tau in map(mp.mpf, taus):
+            if b == g:  # double pole at -ig
+                out.append((1 / g + tau) * mp.exp(-g * tau))
+            else:
+                out.append(
+                    2 * k * mp.exp(-g * tau) / ((g + mp.conj(b)) * (b - g))
+                    - 2 * g * mp.exp(-b * tau) / ((g + b) * (b - g))
+                )
+        return out
+
+
+def _max_deviation(values, reference) -> float:
+    """Largest |values - reference| over the largest |reference|."""
+    reference = np.asarray([complex(r) for r in reference])
+    return float(np.max(np.abs(values - reference)) / np.max(np.abs(reference)))
 
 
 def _cosine_transform_oracle(spectrum_fn, tau: float) -> float:
@@ -43,6 +72,70 @@ def _cosine_transform_oracle(spectrum_fn, tau: float) -> float:
         spectrum_fn, 0.0, np.inf, weight="cos", wvar=tau, limlst=300, limit=200
     )
     return value / math.pi
+
+
+class TestLineModeTransform:
+    def test_matches_residue_transform(self, fpi, sweep_sources):
+        cases = [
+            (TAUS, source_linewidth(src), fpi.kappa_t, d)
+            for src in sweep_sources
+            for d in (5.0, 0.4, -2.0)
+        ]
+        # a drive line much broader than the mode, out to lags where
+        # e^{(gamma_l - kappa_t) tau} alone would overflow
+        cases.append((np.linspace(0.0, 400.0, 801), 1000.0, 0.2, 5.0))
+        for taus, g, k, d in cases:
+            exact = lorentz_product_transform(product((0.0, g), (d, k)), taus)
+            closed = _line_mode_transform(taus, g, k, d)
+            assert np.all(np.isfinite(closed))
+            assert np.max(np.abs(closed - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+    def test_matches_mpmath_at_near_coincident_poles(self):
+        mp = pytest.importorskip("mpmath")
+        k = 1.1
+        cases = [(k * (1.0 + eps), 0.0) for eps in (1e-11, 1e-9, 1e-7, 1e-5, 1e-3)]
+        cases += [(k, 0.0), (k, 1e-7)]
+        for g, d in cases:
+            reference = _mp_line_mode(mp, TAUS, g, k, d)
+            assert _max_deviation(_line_mode_transform(TAUS, g, k, d), reference) <= 1e-14
+
+    def test_scalar_lag_gives_complex(self):
+        assert type(_line_mode_transform(0.7, 1.2, 1.1, 5.0)) is complex
+
+    def test_negative_lag_rejected(self):
+        with pytest.raises(ParameterError):
+            _line_mode_transform(-0.1, 1.2, 1.1, 5.0)
+
+
+class TestNearCoincidentPoles:
+    def test_autocorrs_at_degenerate_poles_match_mpmath_without_warning(self):
+        # delta = 0 and gamma_l = kappa_t (1 + 1e-11): the residue engine's
+        # near-degeneracy fallback region
+        mp = pytest.importorskip("mpmath")
+        fpi = FpiParams(delta=0.0)
+        src = SourceParams(p_in=1.5, gamma_max=fpi.kappa_t * (1.0 + 1e-11) * 2.5)
+        g = source_linewidth(src)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegeneratePolesWarning)
+            cavity = cavity_autocorr(fpi, src, TAUS)
+            transmitted = transmitted_autocorr(fpi, src, TAUS)
+            reflected, _ = reflected_autocorr(fpi, src, TAUS)
+        with mp.workdps(50):
+            line_mode = _mp_line_mode(mp, TAUS, g, fpi.kappa_t, 0.0)
+            p_in, kappa_t = mp.mpf(src.p_in), mp.mpf(fpi.kappa_t)
+            g1 = [p_in * mp.mpf(fpi.coupling) * t for t in line_mode]
+            c1 = [mp.exp(-kappa_t * mp.mpf(tau)) for tau in TAUS]
+            pr1 = [
+                p_in * (mp.exp(-mp.mpf(g) * mp.mpf(tau)) - mp.mpf(fpi.removal_rate) * t)
+                for tau, t in zip(TAUS, line_mode)
+            ]
+            expected = {
+                "cavity": [abs(a) ** 2 + mp.re(a * c) for a, c in zip(g1, c1)],
+                "transmitted": [(2 * mp.mpf(fpi.kappa2)) ** 2 * abs(a) ** 2 for a in g1],
+                "reflected": [abs(r) ** 2 for r in pr1],
+            }
+        for name, ac in (("cavity", cavity), ("transmitted", transmitted), ("reflected", reflected)):
+            assert _max_deviation(ac.values, expected[name]) <= 1e-14, name
 
 
 class TestCavityAutocorr:

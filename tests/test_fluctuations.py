@@ -14,8 +14,6 @@ from fpinoise import (
     cavity_fluctuation_spectrum,
     classical_noise_kernel,
     commutator_spectrum,
-    general_cavity_fluct_spectrum,
-    general_freespace_fluct_spectrum,
     quantum_noise_kernel,
     reflected_fluct_spectrum,
     reflected_spectrum,
@@ -27,10 +25,14 @@ from fpinoise.cavity import reflected_power, transmitted_power
 from fpinoise.fluctuations import (
     cavity_fluct_components,
     transmitted_fluct_components,
-    variance_check_values,
 )
 from fpinoise.lorentz import TWO_PI
 from fpinoise.source import source_linewidth
+from routes import (
+    general_cavity_fluct_spectrum,
+    general_freespace_fluct_spectrum,
+    variance_check_values,
+)
 
 TIGHT = QuadratureSettings(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=400)
 

@@ -13,13 +13,13 @@ from fpinoise import (
     QuadratureSettings,
     adaptive_integral,
     default_tau_grid,
-    lorentz_convolve,
     lorentz_product_integral,
     lorentz_product_transform,
     lorentz_value,
 )
 from fpinoise.lorentz import TWO_PI, lorentz_transform_quadrature, product
 from fpinoise.source import source_linewidth
+from routes import lorentz_convolve
 
 TIGHT = QuadratureSettings(rel_tol=1e-11, abs_tol=1e-14, max_subdivisions=400)
 
