@@ -37,16 +37,12 @@ from .errors import ParameterError
 from .fluctuations import (
     cavity_fluctuation_spectrum,
     classical_noise_kernel,
+    fluct_spectra,
     reflected_fluct_spectrum,
     transmitted_fluct_spectrum,
 )
 from .lorentz import KAPPA_L_RAD_PER_SEC
-from .oracle import (
-    intensity_fluct_spectrum,
-    simulate,
-    stationary_input_power,
-    stationary_photon_number,
-)
+from .oracle import streamed_estimate
 from .output import FigureDataset
 from .source import SourceParams, input_spectrum, source_linewidth, source_regime
 
@@ -284,9 +280,7 @@ def spectra_product(cfg: RunConfig) -> FigureDataset:
 def fluct_product(cfg: RunConfig) -> FigureDataset:
     """Fluctuation spectra of photon number and of the two output powers."""
     omegas = cfg.omega_grid.build()
-    cav = cavity_fluctuation_spectrum(omegas, cfg.fpi, cfg.source)
-    tr = transmitted_fluct_spectrum(omegas, cfg.fpi, cfg.source)
-    rf = reflected_fluct_spectrum(omegas, cfg.fpi, cfg.source)
+    cav, tr, rf = fluct_spectra(omegas, cfg.fpi, cfg.source)
     return FigureDataset(
         "fluct",
         {
@@ -358,8 +352,9 @@ def coeffs_product(cfg: RunConfig) -> FigureDataset:
 
 def oracle_product(cfg: RunConfig) -> FigureDataset:
     """Stochastic estimate of the classical noise next to the analytic curve."""
-    traj = simulate(cfg.fpi, cfg.source, cfg.sim)
-    spec = intensity_fluct_spectrum(traj, cfg.sim)
+    spec, (power_mean, power_err), (photon_mean, photon_err) = streamed_estimate(
+        cfg.fpi, cfg.source, cfg.sim
+    )
     a = cfg.source.p_in * cfg.fpi.coupling
     analytic = a * a * classical_noise_kernel(spec.omegas, cfg.fpi, cfg.source)
     mask = np.abs(spec.omegas) <= 10.0
@@ -369,8 +364,6 @@ def oracle_product(cfg: RunConfig) -> FigureDataset:
         if scale > 0.0
         else 0.0
     )
-    power_mean, power_err = stationary_input_power(traj)
-    photon_mean, photon_err = stationary_photon_number(traj)
     return FigureDataset(
         "oracle",
         {

@@ -124,12 +124,32 @@ def reflection_cross_kernel(omega, fpi: FpiParams, src: SourceParams):
     return map_over_omega(kernel, omega)
 
 
+def _cavity_parts(k0, k1, fpi: FpiParams, src: SourceParams):
+    a = src.p_in * fpi.coupling
+    return a * a * k0, a * k1
+
+
+def _transmitted_parts(k0, fpi: FpiParams, src: SourceParams):
+    a = src.p_in * fpi.coupling
+    scale = (2.0 * fpi.kappa2) ** 2
+    return scale * a * a * k0, transmitted_power(fpi, src)
+
+
+def _reflected_parts(omega, k0, k2, fpi: FpiParams, src: SourceParams):
+    g = source_linewidth(src)
+    b = fpi.removal_rate
+    self_beat = lorentz_value(omega, Lorentzian(0.0, 2.0 * g))
+    return src.p_in**2 * (self_beat - b * k2 + b * b * k0), reflected_power(fpi, src)
+
+
+def _freespace(omegas: np.ndarray, colored, floor: float) -> SpectrumDecomposition:
+    return SpectrumDecomposition(omegas, colored, np.zeros_like(colored), white_floor=floor)
+
+
 def cavity_fluct_components(omega, fpi: FpiParams, src: SourceParams):
     """Classical and quantum parts of the in-cavity photon-number noise."""
-    a = src.p_in * fpi.coupling
-    classical = a * a * classical_noise_kernel(omega, fpi, src)
-    quantum = a * quantum_noise_kernel(omega, fpi, src)
-    return classical, quantum
+    k0 = classical_noise_kernel(omega, fpi, src)
+    return _cavity_parts(k0, quantum_noise_kernel(omega, fpi, src), fpi, src)
 
 
 def cavity_fluctuation_spectrum(
@@ -141,8 +161,7 @@ def cavity_fluctuation_spectrum(
     variance is the thermal-statistics value n(n+1).
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    classical, quantum = cavity_fluct_components(omegas, fpi, src)
-    return SpectrumDecomposition(omegas, classical, quantum, white_floor=0.0)
+    return SpectrumDecomposition(omegas, *cavity_fluct_components(omegas, fpi, src))
 
 
 def transmitted_fluct_components(omega, fpi: FpiParams, src: SourceParams):
@@ -152,10 +171,7 @@ def transmitted_fluct_components(omega, fpi: FpiParams, src: SourceParams):
     i.e. (2 kappa2)^2 times the classical in-cavity part; the quantum
     noise is the flat floor p_t.
     """
-    a = src.p_in * fpi.coupling
-    scale = (2.0 * fpi.kappa2) ** 2
-    colored = scale * a * a * classical_noise_kernel(omega, fpi, src)
-    return colored, transmitted_power(fpi, src)
+    return _transmitted_parts(classical_noise_kernel(omega, fpi, src), fpi, src)
 
 
 def transmitted_fluct_spectrum(
@@ -163,10 +179,7 @@ def transmitted_fluct_spectrum(
 ) -> SpectrumDecomposition:
     """Transmitted power fluctuation spectrum d2p_t(w) on a grid."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    colored, floor = transmitted_fluct_components(omegas, fpi, src)
-    return SpectrumDecomposition(
-        omegas, colored, np.zeros_like(colored), white_floor=floor
-    )
+    return _freespace(omegas, *transmitted_fluct_components(omegas, fpi, src))
 
 
 def reflected_fluct_components(omega, fpi: FpiParams, src: SourceParams):
@@ -182,15 +195,8 @@ def reflected_fluct_components(omega, fpi: FpiParams, src: SourceParams):
     with white floor p_r.  Nonnegative pointwise, being a self-
     correlation of a nonnegative spectrum.
     """
-    g = source_linewidth(src)
-    b = fpi.removal_rate
-    self_beat = lorentz_value(omega, Lorentzian(0.0, 2.0 * g))
-    colored = src.p_in**2 * (
-        self_beat
-        - b * reflection_cross_kernel(omega, fpi, src)
-        + b * b * classical_noise_kernel(omega, fpi, src)
-    )
-    return colored, reflected_power(fpi, src)
+    k2 = reflection_cross_kernel(omega, fpi, src)
+    return _reflected_parts(omega, classical_noise_kernel(omega, fpi, src), k2, fpi, src)
 
 
 def reflected_fluct_spectrum(
@@ -198,7 +204,24 @@ def reflected_fluct_spectrum(
 ) -> SpectrumDecomposition:
     """Reflected power fluctuation spectrum d2p_r(w) on a grid."""
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    colored, floor = reflected_fluct_components(omegas, fpi, src)
-    return SpectrumDecomposition(
-        omegas, colored, np.zeros_like(colored), white_floor=floor
+    return _freespace(omegas, *reflected_fluct_components(omegas, fpi, src))
+
+
+def fluct_spectra(
+    omegas, fpi: FpiParams, src: SourceParams
+) -> tuple[SpectrumDecomposition, SpectrumDecomposition, SpectrumDecomposition]:
+    """Photon-number, transmitted and reflected power noise from one K0.
+
+    Equal to :func:`cavity_fluctuation_spectrum`,
+    :func:`transmitted_fluct_spectrum` and :func:`reflected_fluct_spectrum`,
+    which each evaluate K0 on their own.
+    """
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    k0 = classical_noise_kernel(omegas, fpi, src)
+    k1 = quantum_noise_kernel(omegas, fpi, src)
+    k2 = reflection_cross_kernel(omegas, fpi, src)
+    return (
+        SpectrumDecomposition(omegas, *_cavity_parts(k0, k1, fpi, src)),
+        _freespace(omegas, *_transmitted_parts(k0, fpi, src)),
+        _freespace(omegas, *_reflected_parts(omegas, k0, k2, fpi, src)),
     )

@@ -24,6 +24,7 @@ from fpinoise import (
 from fpinoise.cavity import reflected_power, transmitted_power
 from fpinoise.fluctuations import (
     cavity_fluct_components,
+    fluct_spectra,
     transmitted_fluct_components,
 )
 from fpinoise.lorentz import TWO_PI
@@ -224,6 +225,17 @@ class TestFreeSpaceSpectra:
             colored, floor = general_freespace_fluct_spectrum(p_grid, w)
             assert colored == pytest.approx(spec.classical[i], rel=1e-6)
             assert floor == pytest.approx(spec.white_floor, rel=1e-6)
+
+
+    def test_one_kernel_pass_equals_the_three_spectra(self, fpi, sweep_sources):
+        grid = np.linspace(-10.0, 15.0, 51)
+        builds = (cavity_fluctuation_spectrum, transmitted_fluct_spectrum, reflected_fluct_spectrum)
+        for src in sweep_sources:
+            for shared, build in zip(fluct_spectra(grid, fpi, src), builds):
+                single = build(grid, fpi, src)
+                assert np.array_equal(shared.classical, single.classical)
+                assert np.array_equal(shared.quantum, single.quantum)
+                assert shared.white_floor == single.white_floor
 
 
 class TestGeneralEngines:

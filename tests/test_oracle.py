@@ -1,5 +1,7 @@
 """Stochastic time-domain oracle: stationarity, spectra, reproducibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter1d
@@ -7,6 +9,8 @@ from scipy.ndimage import uniform_filter1d
 from fpinoise import (
     ConfigError,
     FpiParams,
+    ParameterError,
+    RunConfig,
     SimConfig,
     SourceParams,
     intensity_fluct_spectrum,
@@ -14,6 +18,7 @@ from fpinoise import (
     simulate,
 )
 from fpinoise.errors import EstimatorVarianceWarning
+from fpinoise.figures import oracle_product
 from fpinoise.fluctuations import cavity_fluct_components
 from fpinoise.oracle import (
     stationary_input_power,
@@ -55,6 +60,11 @@ class TestSimulate:
     def test_unstable_step_rejected_before_running(self, fpi):
         with pytest.raises(ConfigError):
             simulate(fpi, SRC5, SimConfig(dt=0.1, n_steps=1024, burn_in=8192))
+
+    def test_single_realization_rejected(self):
+        # a standard error across realizations needs at least two
+        with pytest.raises(ParameterError, match="n_realizations >= 2"):
+            SimConfig(n_realizations=1)
 
     def test_short_burn_in_rejected(self, fpi):
         with pytest.raises(ConfigError):
@@ -127,3 +137,44 @@ class TestIntensitySpectrum:
         dt_change = np.sqrt(np.mean((base - fine_on_probe) ** 2)) / scale
         assert dt_change < max(1.5 * noise_floor, 0.01)
         assert dt_change < 0.05  # far below any first-order bias scale
+
+
+class TestStreamedOracle:
+    """The oracle product runs one realization at a time."""
+
+    @staticmethod
+    def _run(fpi, **sim):
+        cfg = SimConfig(n_steps=16384, burn_in=4096, **sim)
+        return cfg, oracle_product(RunConfig(fpi=fpi, source=SRC5, sim=cfg))
+
+    @pytest.mark.parametrize("seed", [3, 20260810])
+    def test_product_equals_the_whole_ensemble_routes(self, fpi, seed):
+        cfg, ds = self._run(fpi, n_realizations=4, seed=seed)
+        traj = simulate(fpi, SRC5, cfg)
+        spec = intensity_fluct_spectrum(traj, cfg)
+        assert np.array_equal(ds.series["omega"], spec.omegas)
+        assert np.array_equal(ds.series["estimated"], spec.values)
+        meta = ds.metadata
+        assert (meta["input_power_mean"], meta["input_power_stderr"]) == stationary_input_power(traj)
+        assert (meta["photon_number_mean"], meta["photon_number_stderr"]) == (
+            stationary_photon_number(traj)
+        )
+
+    def test_few_segments_warn(self, fpi):
+        with pytest.warns(EstimatorVarianceWarning):
+            self._run(fpi, n_realizations=2)
+
+    def test_memory_grows_by_the_intensity_rows_only(self, fpi):
+        # doubling R from 16 adds 16 float64 rows of |a|^2 (n_steps) and of
+        # the per-run periodogram (8192 bins); the whole complex ensemble
+        # is never held at once
+        def peak_bytes(n_realizations):
+            tracemalloc.start()
+            try:
+                self._run(fpi, n_realizations=n_realizations)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = peak_bytes(32) - peak_bytes(16)
+        assert growth <= 1.25 * 16 * (16384 + 8192) * 8
