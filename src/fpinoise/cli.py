@@ -12,7 +12,7 @@ Subcommands::
 
 Shared flags: ``--config``, ``--out``, ``--format csv|json``, ``--seed``,
 ``--grid-points``.  Exit codes: 0 success, 2 configuration error,
-3 convergence/coverage error, 4 I/O error.
+3 convergence error, 4 I/O error.
 """
 
 from __future__ import annotations

@@ -14,7 +14,10 @@ spectra plus a flat floor equal to the mean power,
 
     d2p(w) = (1/2pi) * integral p(w' - w) p(w') dw'  +  p.
 
-All integrals are rational and evaluated exactly on the residue engine.
+All integrals are rational functions of (w, delta, gamma_l, kappa_t).  K1
+and the reflection cross kernel K2 are those functions in closed form,
+evaluated over the whole frequency array at once; K0 still sums residues
+point by point on the residue engine.
 """
 
 from __future__ import annotations
@@ -89,22 +92,45 @@ def classical_noise_kernel(omega, fpi: FpiParams, src: SourceParams):
     return map_over_omega(kernel, omega)
 
 
+def _commutator_kernel(omega, a: float, b: float, d: float):
+    """(1/4pi) * integral [s(u - w) + s(u + w)] L(u - d, b) du in closed form.
+
+    Here s(u) = L(u, a) L(u - d, b); this is the rational function given
+    in :func:`quantum_noise_kernel` with gamma_l = a and kappa_t = b.  No
+    factor vanishes as a -> b, so near-coincident poles (d = 0, a ~ b)
+    cost no accuracy.  D is a product of sums of squares whose two
+    w-dependent factors swap under w -> -w, so the result is even bit for
+    bit.  The one sign-indefinite monomial of N, d^2 w^2 (b - a), stays
+    below 1/(2 sqrt 2) of 2d^4 a + c w^4 (AM-GM), so N is positive and
+    well conditioned.  A scalar w gives a float, an array keeps its shape.
+    """
+    w = np.asarray(omega, dtype=float)
+    w2, c, d2 = w * w, a + b, d * d
+    c2 = c * c
+    den = (c2 + d2) * ((c2 + (d - w) ** 2) * (c2 + (d + w) ** 2))
+    num = 2.0 * c2 * c2 * (a + 2.0 * b) + 4.0 * d2 * c2 * c + 2.0 * d2 * d2 * a
+    num = num + w2 * (c2 * (3.0 * a + 5.0 * b) + d2 * (b - a) + w2 * c)
+    out = 4.0 * b * num / ((w2 + 4.0 * b * b) * den)
+    return float(out) if out.ndim == 0 else out
+
+
 def quantum_noise_kernel(omega, fpi: FpiParams, src: SourceParams):
     """Correlation kernel of the line shape with the mode commutator density.
 
     K1(w) = (1/4pi) * integral [s(u - w) + s(u + w)] L(u - delta, kappa_t) du,
     even in w by construction; the colored quantum contribution peaks
-    near the mode-drive beat at w = delta.
+    near the mode-drive beat at w = delta.  With g = gamma_l, k = kappa_t,
+    d = delta and c = g + k, summing the upper-half-plane residues and
+    cancelling gives the rational function
+
+        K1(w) = 4k N1 / [(w^2 + 4k^2) D],
+        N1 = 2c^4 (g + 2k) + 4d^2 c^3 + 2d^4 g
+             + w^2 [c^2 (3g + 5k) + d^2 (k - g)] + w^4 c,
+        D  = (c^2 + d^2) (c^2 + (d - w)^2) (c^2 + (d + w)^2),
+
+    evaluated over the whole array at once (see :func:`_commutator_kernel`).
     """
-    g = source_linewidth(src)
-    kt, d = fpi.kappa_t, fpi.delta
-
-    def kernel(w: float) -> float:
-        left = lorentz_product_integral(product((w, g), (w + d, kt), (d, kt))).value
-        right = lorentz_product_integral(product((-w, g), (d - w, kt), (d, kt))).value
-        return 0.5 * (left + right)
-
-    return map_over_omega(kernel, omega)
+    return _commutator_kernel(omega, source_linewidth(src), fpi.kappa_t, fpi.delta)
 
 
 def reflection_cross_kernel(omega, fpi: FpiParams, src: SourceParams):
@@ -112,16 +138,15 @@ def reflection_cross_kernel(omega, fpi: FpiParams, src: SourceParams):
 
     K2(w) = (1/2pi) * integral L(u - w, gamma_l) L(u, gamma_l)
             [L(u - w - delta, kappa_t) + L(u - delta, kappa_t)] du, even in w.
+
+    Reflecting u -> delta - u turns this into twice K1 with gamma_l and
+    kappa_t swapped, so with the notation of :func:`quantum_noise_kernel`
+
+        K2(w) = 8g N2 / [(w^2 + 4g^2) D],
+        N2 = 2c^4 (2g + k) + 4d^2 c^3 + 2d^4 k
+             + w^2 [c^2 (5g + 3k) + d^2 (g - k)] + w^4 c.
     """
-    g = source_linewidth(src)
-    kt, d = fpi.kappa_t, fpi.delta
-
-    def kernel(w: float) -> float:
-        a = lorentz_product_integral(product((w, g), (0.0, g), (w + d, kt))).value
-        b = lorentz_product_integral(product((w, g), (0.0, g), (d, kt))).value
-        return a + b
-
-    return map_over_omega(kernel, omega)
+    return 2.0 * _commutator_kernel(omega, fpi.kappa_t, source_linewidth(src), fpi.delta)
 
 
 def _cavity_parts(k0, k1, fpi: FpiParams, src: SourceParams):

@@ -7,7 +7,10 @@ correction for the lag autocorrelations.  Both refuse, with
 :class:`~fpinoise.CoverageError`, grids that truncate too much of the
 spectrum.  ``lorentz_convolve`` is the two-line closed form that checks
 the residue engine and the quadrature, and ``variance_check_values``
-gives the targets of the variance sum rules.
+gives the targets of the variance sum rules.  The quantum and reflection
+noise kernels K1 and K2 have two reference routes here: per-point
+residue sums of their defining Lorentzian products, and an ``mpmath``
+quadrature of their defining integrals at any working precision.
 """
 
 from __future__ import annotations
@@ -21,7 +24,14 @@ from fpinoise.autocorr import AutoCorrelation
 from fpinoise.cavity import FpiParams, SpectrumGrid, mean_photon_number
 from fpinoise.errors import CoverageError, ParameterError
 from fpinoise.fluctuations import SpectrumDecomposition
-from fpinoise.lorentz import TWO_PI, Lorentzian, lorentz_value
+from fpinoise.lorentz import (
+    TWO_PI,
+    Lorentzian,
+    lorentz_product_integral,
+    lorentz_value,
+    map_over_omega,
+    product,
+)
 from fpinoise.source import SourceParams
 
 # Acceptable truncated tail mass, as a fraction of the total integrand
@@ -131,6 +141,52 @@ def variance_check_values(fpi: FpiParams, src: SourceParams):
     """Closed-form targets for the variance sum rules: (n^2, n, n(n+1))."""
     n = mean_photon_number(fpi, src)
     return n * n, n, n * (n + 1.0)
+
+
+def residue_commutator_kernels(omega, g: float, k: float, d: float):
+    """K1 and K2 as per-point residue sums of their defining Lorentzian products.
+
+    g = gamma_l, k = kappa_t, d = delta.  Returns (K1, K2), each a float
+    for a scalar ``omega`` and an array of its shape otherwise.
+    """
+
+    def k1(w: float) -> float:
+        left = lorentz_product_integral(product((w, g), (w + d, k), (d, k))).value
+        right = lorentz_product_integral(product((-w, g), (d - w, k), (d, k))).value
+        return 0.5 * (left + right)
+
+    def k2(w: float) -> float:
+        a = lorentz_product_integral(product((w, g), (0.0, g), (w + d, k))).value
+        b = lorentz_product_integral(product((w, g), (0.0, g), (d, k))).value
+        return a + b
+
+    return map_over_omega(k1, omega), map_over_omega(k2, omega)
+
+
+def mp_commutator_kernels(mp, w: float, g: float, k: float, d: float):
+    """K1 and K2 at one frequency by ``mpmath`` quadrature of their definitions.
+
+    K1 = (1/4pi) * integral [s(u - w) + s(u + w)] L(u - d, k) du with
+    s(u) = L(u, g) L(u - d, k), and
+    K2 = (1/2pi) * integral L(u - w, g) L(u, g) [L(u - w - d, k) + L(u - d, k)] du.
+    The integration range is split at every line center, and the result
+    carries the caller's ``mp`` working precision.
+    """
+    w, g, k, d = (mp.mpf(x) for x in (w, g, k, d))
+
+    def line(x, width):
+        return 2 * width / (x * x + width * width)
+
+    def k1(u):
+        shifted = line(u - w, g) * line(u - w - d, k) + line(u + w, g) * line(u + w - d, k)
+        return shifted * line(u - d, k)
+
+    def k2(u):
+        return line(u - w, g) * line(u, g) * (line(u - w - d, k) + line(u - d, k))
+
+    centers = sorted({-w, mp.mpf(0), w, d - w, d, d + w})
+    breaks = [-mp.inf, *centers, mp.inf]
+    return mp.quad(k1, breaks) / (4 * mp.pi), mp.quad(k2, breaks) / (2 * mp.pi)
 
 
 def _rational_tail_transform(taus: np.ndarray, edge: float, coefficient: float) -> np.ndarray:

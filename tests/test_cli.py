@@ -142,6 +142,23 @@ class TestWriters:
         assert format_float(1 / 3) == "3.33333333e-01"
         assert format_float(123456789.0) == "1.23456789e+08"
 
+    def test_csv_rows_equal_per_cell_formatting(self):
+        from fpinoise.output import FigureDataset, dataset_to_csv, format_float
+
+        edge = np.array(
+            [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
+             np.finfo(float).max, 0.1 + 0.2, -1.0 / 3.0]
+        )
+        edge_ds = FigureDataset("edge", {"x": edge, "y": edge[::-1]})
+        full_ds = run_figure("fig4a", RunConfig())
+        assert len(full_ds.series["omega"]) == 2001
+        for ds in (edge_ds, full_ds):
+            names = list(ds.series)
+            cells = np.column_stack([ds.series[name] for name in names])
+            rows = [",".join(format_float(x) for x in row) for row in cells]
+            text = dataset_to_csv(ds)
+            assert text.endswith("\n".join([",".join(names), *rows]) + "\n")
+
 
 class TestCliMain:
     def test_coeffs_roundtrip(self, tmp_path):

@@ -1,5 +1,7 @@
 """Fluctuation spectra: kernels vs quadrature, sum rules, engine cross-paths."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from fpinoise import (
     transmitted_spectrum,
 )
 from fpinoise.cavity import reflected_power, transmitted_power
+from fpinoise.config import DEFAULT_OMEGA_GRID
 from fpinoise.fluctuations import (
     cavity_fluct_components,
     fluct_spectra,
@@ -32,6 +35,8 @@ from fpinoise.source import source_linewidth
 from routes import (
     general_cavity_fluct_spectrum,
     general_freespace_fluct_spectrum,
+    mp_commutator_kernels,
+    residue_commutator_kernels,
     variance_check_values,
 )
 
@@ -123,6 +128,56 @@ class TestKernels:
         assert np.all(classical_noise_kernel(grid, fpi, src) > 0.0)
         assert np.all(quantum_noise_kernel(grid, fpi, src) > 0.0)
         assert np.all(reflection_cross_kernel(grid, fpi, src) > 0.0)
+
+
+# delta = 0 and gamma_l = kappa_t (1 + eps): the near-coincident poles
+# where a residue sum cancels, at the mode center, near it and off it
+NEAR_COINCIDENT_EPS = (1e-11, 1e-9, 5e-9, 1e-6, 1e-3)
+NEAR_COINCIDENT_OMEGAS = (0.0, 1e-8, 0.3)
+
+
+def _near_coincident_cases():
+    fpi = FpiParams(delta=0.0)
+    for eps in NEAR_COINCIDENT_EPS:
+        src = SourceParams(p_in=0.0, gamma_max=fpi.kappa_t * (1.0 + eps))
+        yield fpi, src
+
+
+class TestClosedFormKernels:
+    def test_matches_residue_sums_on_default_grid(self, fpi, sweep_sources):
+        grid = DEFAULT_OMEGA_GRID.build()
+        for src in sweep_sources:
+            k1, k2 = residue_commutator_kernels(grid, source_linewidth(src), fpi.kappa_t, fpi.delta)
+            assert np.max(np.abs(quantum_noise_kernel(grid, fpi, src) / k1 - 1.0)) <= 1e-13
+            assert np.max(np.abs(reflection_cross_kernel(grid, fpi, src) / k2 - 1.0)) <= 1e-13
+
+    def test_matches_mpmath_at_near_coincident_poles(self):
+        mp = pytest.importorskip("mpmath")
+        for fpi, src in _near_coincident_cases():
+            g = source_linewidth(src)
+            for w in NEAR_COINCIDENT_OMEGAS:
+                with mp.workdps(50):
+                    k1, k2 = mp_commutator_kernels(mp, w, g, fpi.kappa_t, fpi.delta)
+                    err1 = abs(quantum_noise_kernel(w, fpi, src) / k1 - 1)
+                    err2 = abs(reflection_cross_kernel(w, fpi, src) / k2 - 1)
+                assert err1 <= 1e-14, (g, w)
+                assert err2 <= 1e-14, (g, w)
+
+    def test_near_coincident_poles_emit_no_warning(self):
+        grid = np.array(NEAR_COINCIDENT_OMEGAS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fpi, src in _near_coincident_cases():
+                assert np.all(quantum_noise_kernel(grid, fpi, src) > 0.0)
+                assert np.all(reflection_cross_kernel(grid, fpi, src) > 0.0)
+
+    def test_scalar_frequency_gives_float(self, fpi):
+        src = SourceParams(p_in=5.0)
+        for w in (0.0, 2.5, np.float64(5.0), np.array(1.0)):
+            assert type(quantum_noise_kernel(w, fpi, src)) is float
+            assert type(reflection_cross_kernel(w, fpi, src)) is float
+        assert quantum_noise_kernel(np.zeros((2, 3)), fpi, src).shape == (2, 3)
+        assert reflection_cross_kernel(np.zeros((2, 3)), fpi, src).shape == (2, 3)
 
 
 class TestCavitySpectrum:
