@@ -188,11 +188,6 @@ def transmitted_power(fpi: FpiParams, src: SourceParams) -> float:
     return 2.0 * fpi.kappa2 * mean_photon_number(fpi, src)
 
 
-def absorbed_power(fpi: FpiParams, src: SourceParams) -> float:
-    """Total absorbed power 2 kappa0 n."""
-    return 2.0 * fpi.kappa0 * mean_photon_number(fpi, src)
-
-
 def reflected_power(fpi: FpiParams, src: SourceParams) -> float:
     """Total reflected power R * p_in."""
     return reflection_coefficient(fpi, src) * src.p_in

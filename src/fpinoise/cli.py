@@ -49,15 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"fpinoise {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("spectra", "field spectra on the frequency grid"),
-        ("fluct", "fluctuation spectra with classical/quantum split"),
-        ("autocorr", "lag autocorrelations"),
-        ("coeffs", "reflection/transmission coefficients and photon number"),
-        ("oracle", "stochastic time-domain cross-check"),
-        ("sweep", "drive-power sweep of scalar summaries"),
-    ):
-        sub.add_parser(name, parents=[shared], help=text)
+    for name, build in PRODUCT_BUILDERS.items():
+        # python -OO strips docstrings; the name then stands in as help
+        sub.add_parser(name, parents=[shared], help=(build.__doc__ or name).splitlines()[0])
     fig = sub.add_parser(
         "figure", parents=[shared], help="emit one bundled figure preset"
     )
@@ -78,12 +72,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.command == "figure":
             datasets = [run_figure(args.figure_id, cfg)]
-        elif args.command == "sweep":
-            datasets = [PRODUCT_BUILDERS["sweep"](cfg)]
-            if cfg.fpi.delta > 0:
-                datasets.append(energy_split_report(cfg))
         else:
             datasets = [PRODUCT_BUILDERS[args.command](cfg)]
+            if args.command == "sweep" and cfg.fpi.delta > 0:
+                datasets.append(energy_split_report(datasets[0]))
         for ds in datasets:
             path = write_dataset(ds, cfg.out_dir, cfg.format)
             print(path)

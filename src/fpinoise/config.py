@@ -16,7 +16,9 @@ drive power 1.5, all in kappa_l units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -41,6 +43,8 @@ class GridSpec:
     count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ParameterError("grid start and stop must be finite")
         if not self.stop > self.start:
             raise ParameterError("grid stop must exceed start")
         if self.count < 2:
@@ -89,38 +93,40 @@ class RunConfig:
             )
 
 
-def _set_nested(updates: dict, group: str, attr: str, value) -> None:
-    updates.setdefault(group, {})[attr] = value
+_RECORDS = ("fpi", "source", "sim")
 
 
-_FLOAT_KEYS = {
-    "fpi.kappa1": ("fpi", "kappa1"),
-    "fpi.kappa2": ("fpi", "kappa2"),
-    "fpi.kappa0": ("fpi", "kappa0"),
-    "fpi.delta": ("fpi", "delta"),
-    "source.p_in": ("source", "p_in"),
-    "source.gamma_max": ("source", "gamma_max"),
-    "sim.dt": ("sim", "dt"),
+def _record_keys() -> dict[str, tuple[str, str, type]]:
+    """Config key -> (record, field, type) for every field of the records."""
+    keys = {}
+    for group in _RECORDS:
+        record = type(getattr(RunConfig(), group))
+        types = get_type_hints(record)
+        for fld in fields(record):
+            # the simulation seed is spelled without its group
+            key = "seed" if fld.name == "seed" else f"{group}.{fld.name}"
+            keys[key] = (group, fld.name, types[fld.name])
+    return keys
+
+
+# config key -> (record, or None for a top-level field; field; parser)
+_KEYS = {
+    **_record_keys(),
+    "grid.omega": (None, "omega_grid", GridSpec.parse),
+    "grid.tau": (None, "tau_grid", GridSpec.parse),
+    "outputs": (None, "outputs", lambda v: tuple(t.strip() for t in v.split(",") if t.strip())),
+    "format": (None, "format", str),
+    "out_dir": (None, "out_dir", str),
 }
-_INT_KEYS = {
-    "sim.n_steps": ("sim", "n_steps"),
-    "sim.n_realizations": ("sim", "n_realizations"),
-    "sim.burn_in": ("sim", "burn_in"),
-    "seed": ("sim", "seed"),
-}
-_KNOWN_KEYS = sorted(
-    list(_FLOAT_KEYS) + list(_INT_KEYS) + ["grid.omega", "grid.tau", "outputs", "format", "out_dir"]
-)
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse a key-value document into a validated :class:`RunConfig`.
 
-    Raises :class:`ConfigError` naming the offending key and how to fix
-    it; unknown keys list the known ones.
+    Raises :class:`ConfigError` naming the offending key or record and how
+    to fix it; unknown keys list the known ones.
     """
-    nested: dict[str, dict] = {}
-    flat: dict[str, object] = {}
+    updates: dict[str | None, dict[str, object]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -131,46 +137,23 @@ def parse_config(text: str) -> RunConfig:
             )
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in _KEYS:
+            raise ConfigError(
+                f"unknown key '{key}'; known keys: {', '.join(sorted(_KEYS))}"
+            )
+        group, name, parse = _KEYS[key]
         try:
-            if key in _FLOAT_KEYS:
-                group, attr = _FLOAT_KEYS[key]
-                _set_nested(nested, group, attr, float(value))
-            elif key in _INT_KEYS:
-                group, attr = _INT_KEYS[key]
-                _set_nested(nested, group, attr, int(value))
-            elif key == "grid.omega":
-                flat["omega_grid"] = GridSpec.parse(value)
-            elif key == "grid.tau":
-                flat["tau_grid"] = GridSpec.parse(value)
-            elif key == "outputs":
-                flat["outputs"] = tuple(
-                    token.strip() for token in value.split(",") if token.strip()
-                )
-            elif key == "format":
-                flat["format"] = value
-            elif key == "out_dir":
-                flat["out_dir"] = value
-            else:
-                raise ConfigError(
-                    f"unknown key '{key}'; known keys: {', '.join(_KNOWN_KEYS)}"
-                )
-        except ConfigError:
-            raise
-        except (ParameterError, ValueError) as exc:
+            updates.setdefault(group, {})[name] = parse(value)
+        except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
 
-    kwargs: dict[str, object] = dict(flat)
-    try:
-        if "fpi" in nested:
-            kwargs["fpi"] = FpiParams(**nested["fpi"])
-        if "source" in nested:
-            kwargs["source"] = SourceParams(**nested["source"])
-        if "sim" in nested:
-            kwargs["sim"] = SimConfig(**nested["sim"])
-        return RunConfig(**kwargs)
-    except ParameterError as exc:
-        group = next((g for g in ("fpi", "source", "sim") if g in nested), "config")
-        raise ConfigError(f"{group}.*: {exc}") from exc
+    kwargs = updates.pop(None, {})
+    for group, changed in updates.items():
+        try:
+            kwargs[group] = replace(getattr(RunConfig(), group), **changed)
+        except ParameterError as exc:
+            raise ConfigError(f"{group}.*: {exc}") from exc
+    return RunConfig(**kwargs)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -189,29 +172,25 @@ def apply_overrides(
     grid_points: int | None = None,
 ) -> RunConfig:
     """Apply command-line overrides on top of a parsed configuration."""
-    if out_dir is not None:
-        cfg = replace(cfg, out_dir=out_dir)
-    if fmt is not None:
-        if fmt not in FORMATS:
-            raise ConfigError(f"format: '{fmt}' is not supported; use csv or json")
-        cfg = replace(cfg, format=fmt)
-    if seed is not None:
-        if not 0 <= seed < 2**64:
-            raise ConfigError("seed: must fit in 64 bits")
-        cfg = replace(cfg, sim=replace(cfg.sim, seed=seed))
-    if grid_points is not None:
-        if grid_points < 2:
-            raise ConfigError("grid-points: need at least 2")
-        cfg = replace(
-            cfg, omega_grid=replace(cfg.omega_grid, count=grid_points)
-        )
+    try:
+        if out_dir is not None:
+            cfg = replace(cfg, out_dir=out_dir)
+        if fmt is not None:
+            cfg = replace(cfg, format=fmt)
+        if seed is not None:
+            cfg = replace(cfg, sim=replace(cfg.sim, seed=seed))
+        if grid_points is not None:
+            cfg = replace(cfg, omega_grid=replace(cfg.omega_grid, count=grid_points))
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
 def config_echo(cfg: RunConfig) -> dict[str, object]:
     """Flat key-value echo of a configuration, for dataset metadata."""
     echo: dict[str, object] = {}
-    for group_name, group in (("fpi", cfg.fpi), ("source", cfg.source), ("sim", cfg.sim)):
+    for group_name in _RECORDS:
+        group = getattr(cfg, group_name)
         for fld in fields(group):
             echo[f"{group_name}.{fld.name}"] = getattr(group, fld.name)
     echo["grid.omega"] = str(cfg.omega_grid)

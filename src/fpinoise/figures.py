@@ -91,16 +91,14 @@ def energy_split_fraction(fpi: FpiParams, src: SourceParams) -> float:
     return (tail + body) / total
 
 
-def energy_split_report(cfg: RunConfig) -> FigureDataset:
-    """Transmitted-energy split fractions for the standard power sweep."""
-    powers = [p for p in SWEEP_POWERS if p > 0.5]  # 1.5, 5, 50
-    fractions = [
-        energy_split_fraction(cfg.fpi, _sweep_source(cfg, p)) for p in powers
-    ]
+def energy_split_report(sweep: FigureDataset) -> FigureDataset:
+    """Energy split fractions of a ``sweep`` dataset above p_in 0.5 (NaN unless delta > 0)."""
+    keep = sweep.series["p_in"] > 0.5  # 1.5, 5, 50
+    fractions = sweep.series["energy_split"][keep]
     return FigureDataset(
         "energy_split",
-        {"p_in": np.array(powers), "fraction_below_half_detuning": np.array(fractions)},
-        base_metadata(cfg),
+        {"p_in": sweep.series["p_in"][keep], "fraction_below_half_detuning": fractions},
+        sweep.metadata,
     )
 
 

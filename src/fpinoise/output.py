@@ -1,8 +1,11 @@
 """Dataset records and machine-readable writers (CSV and JSON).
 
-Every emitted file embeds the complete parameter echo and the package
-version, so a dataset can be regenerated bit-identically from its own
-header.  Numbers are written in scientific notation with 9 significant
+Every emitted file embeds the parameter echo and the package version.
+Rerunning one configuration gives identical bytes.  The echo documents
+the run but is not itself a config file: it spells the seed
+``sim.seed`` where config files use ``seed``, adds the derived
+``source.gamma_l`` and ``source.regime``, and leaves out ``format`` and
+``out_dir``.  Numbers are written in scientific notation with 9 significant
 digits; the JSON writer stores the same rounded values, making the two
 encodings numerically identical.
 """

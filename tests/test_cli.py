@@ -2,18 +2,24 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fpinoise import SourceParams, mean_photon_number, source_linewidth
-from fpinoise.cli import main
-from fpinoise.config import RunConfig, parse_config
+from fpinoise.cli import _build_parser, main
+from fpinoise.config import PRODUCTS, RunConfig, parse_config
 from fpinoise.figures import (
     FIGURE_IDS,
+    PRODUCT_BUILDERS,
     energy_split_fraction,
     energy_split_report,
     run_figure,
+    sweep_product,
 )
 from fpinoise.output import write_dataset
 
@@ -103,7 +109,7 @@ class TestEnergySplit:
             assert frac == pytest.approx(target, abs=0.02)
 
     def test_report_dataset(self):
-        ds = energy_split_report(RunConfig())
+        ds = energy_split_report(sweep_product(RunConfig()))
         assert list(ds.series["p_in"]) == [1.5, 5.0, 50.0]
 
 
@@ -193,6 +199,35 @@ class TestCliMain:
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("fpi.kappa1 = -2\n")
         assert main(["coeffs", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+
+    def test_config_setting_only_gamma_max_runs(self, tmp_path):
+        cfg_file = tmp_path / "line.cfg"
+        cfg_file.write_text("source.gamma_max = 2\n")
+        assert main(["coeffs", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+        metadata, _, _ = _read_csv(tmp_path / "coeffs.csv")
+        assert metadata["source.p_in"] == "1.50000000e+00"
+
+    def test_non_finite_grid_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        cfg_file = tmp_path / "grid.cfg"
+        cfg_file.write_text("grid.omega = -10:inf:5\n")
+        out = tmp_path / "out"
+        assert main(["spectra", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "grid.omega" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_subcommands_are_the_products_plus_figure(self):
+        assert PRODUCTS == tuple(PRODUCT_BUILDERS)
+        (sub,) = [a for a in _build_parser()._actions if a.dest == "command"]
+        assert list(sub.choices) == [*PRODUCTS, "figure"]
+
+    def test_help_builds_without_docstrings(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        run = subprocess.run(
+            [sys.executable, "-OO", "-m", "fpinoise", "--help"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert run.returncode == 0, run.stderr
+        assert "sweep" in run.stdout
 
     def test_unreadable_config_exits_2_or_4(self, tmp_path):
         code = main(["coeffs", "--config", str(tmp_path / "missing.cfg")])

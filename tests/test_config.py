@@ -2,8 +2,15 @@
 
 import pytest
 
-from fpinoise import ConfigError, parse_config
-from fpinoise.config import GridSpec, apply_overrides
+from fpinoise import ConfigError, FpiParams, SourceParams, parse_config
+from fpinoise.config import GridSpec, RunConfig, apply_overrides, config_echo
+from fpinoise.oracle import SimConfig
+
+KNOWN_KEYS = [
+    "format", "fpi.delta", "fpi.kappa0", "fpi.kappa1", "fpi.kappa2", "grid.omega",
+    "grid.tau", "out_dir", "outputs", "seed", "sim.burn_in", "sim.dt",
+    "sim.n_realizations", "sim.n_steps", "source.gamma_max", "source.p_in",
+]
 
 
 class TestParse:
@@ -72,9 +79,47 @@ class TestParse:
         with pytest.raises(ConfigError, match="not supported"):
             parse_config("format = xml")
 
-    def test_strong_drive_linewidth_echo(self):
-        from fpinoise.config import config_echo
+    def test_partial_record_keeps_its_other_defaults(self):
+        cfg = parse_config("source.gamma_max = 2")
+        assert cfg.source == SourceParams(p_in=1.5, gamma_max=2.0)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "fpi.delta = 3\nsim.n_realizations = 1",
+            "source.p_in = 2\nsim.dt = -1",
+        ],
+    )
+    def test_invariant_violation_names_the_failing_group(self, text):
+        with pytest.raises(ConfigError, match=r"^sim\.\*: "):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "key, spec", [("grid.omega", "-10:inf:5"), ("grid.tau", "-inf:12:5")]
+    )
+    def test_non_finite_grid_bound_rejected(self, key, spec):
+        with pytest.raises(ConfigError, match=rf"^{key}: .*finite"):
+            parse_config(f"{key} = {spec}")
+
+    def test_known_keys(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config("nonsense = 1")
+        assert str(info.value).split("known keys: ")[1].split(", ") == KNOWN_KEYS
+
+    def test_echo_parses_back_to_equal_records(self):
+        cfg = RunConfig(
+            fpi=FpiParams(kappa1=0.4, kappa2=0.3, kappa0=0.2, delta=-2.5),
+            source=SourceParams(p_in=7.25, gamma_max=1.5),
+            sim=SimConfig(dt=0.02, n_steps=4096, n_realizations=3, seed=2**64 - 1, burn_in=17),
+        )
+        lines = []
+        for key, value in config_echo(cfg).items():
+            if key.split(".")[0] in ("fpi", "source", "sim") and key != "source.gamma_l":
+                lines.append(f"{'seed' if key == 'sim.seed' else key} = {value!r}")
+        parsed = parse_config("\n".join(lines))
+        assert (parsed.fpi, parsed.source, parsed.sim) == (cfg.fpi, cfg.source, cfg.sim)
+
+    def test_strong_drive_linewidth_echo(self):
         cfg = parse_config("source.p_in = 50")
         echo = config_echo(cfg)
         assert echo["source.gamma_l"] == pytest.approx(0.058823529411764705, rel=1e-12)
