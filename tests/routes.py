@@ -10,7 +10,11 @@ the residue engine and the quadrature, and ``variance_check_values``
 gives the targets of the variance sum rules.  The quantum and reflection
 noise kernels K1 and K2 have two reference routes here: per-point
 residue sums of their defining Lorentzian products, and an ``mpmath``
-quadrature of their defining integrals at any working precision.
+quadrature of their defining integrals at any working precision.  For
+the stochastic oracle, ``welch_route`` is the per-row
+``scipy.signal.welch`` estimate that checks the batched FFT estimate,
+and ``complex_kick_realization`` builds a realization from complex
+kicks through complex ``lfilter`` recurrences.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.signal import lfilter, welch
 from scipy.special import sici
 
 from fpinoise.autocorr import AutoCorrelation
@@ -32,7 +37,8 @@ from fpinoise.lorentz import (
     map_over_omega,
     product,
 )
-from fpinoise.source import SourceParams
+from fpinoise.oracle import SimConfig, _stream
+from fpinoise.source import SourceParams, source_linewidth
 
 # Acceptable truncated tail mass, as a fraction of the total integrand
 # mass, before a tabulated convolution refuses to answer.  Tails up to
@@ -260,3 +266,48 @@ def autocorr_from_spectrum(spec: SpectrumDecomposition, taus) -> AutoCorrelation
         classical=classical,
         quantum=quantum,
     )
+
+
+def welch_route(intensity: np.ndarray, dt: float, segment_length: int) -> SpectrumGrid:
+    """Ensemble-mean-removed ``scipy.signal.welch`` per row, averaged over rows."""
+    mean = intensity.mean()
+    n_runs, n_steps = intensity.shape
+    segment_length = int(min(segment_length, n_steps))
+    psd = np.empty((n_runs, segment_length))
+    for r in range(n_runs):
+        freqs, psd[r] = welch(
+            intensity[r] - mean,
+            fs=1.0 / dt,
+            window="hann",
+            nperseg=segment_length,
+            noverlap=segment_length // 2,
+            detrend=False,
+            return_onesided=False,
+            scaling="density",
+            average="mean",
+        )
+    omegas = 2.0 * math.pi * np.fft.fftshift(freqs)
+    return SpectrumGrid(omegas, np.fft.fftshift(psd.mean(axis=0)))
+
+
+def complex_kick_realization(
+    fpi: FpiParams, src: SourceParams, cfg: SimConfig, r: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary (x, a) of realization ``r``, with complex kicks and complex filters.
+
+    The same Philox stream and recurrences as the oracle, but the kicks
+    are assembled as complex numbers from alternate draws and the drive
+    recurrence runs as a complex ``lfilter``.
+    """
+    g = source_linewidth(src)
+    lam = complex(fpi.kappa_t, fpi.delta)
+    total = cfg.burn_in + cfg.n_steps
+    decay = math.exp(-g * cfg.dt)
+    step_std = math.sqrt(src.p_in * (1.0 - decay * decay)) if src.p_in > 0 else 0.0
+    cavity_decay = np.exp(-lam * cfg.dt)
+    drive_gain = math.sqrt(2.0 * fpi.kappa1) * (1.0 - cavity_decay) / lam
+    noise = _stream(cfg.seed, r).standard_normal(2 * total)
+    kicks = (noise[0::2] + 1j * noise[1::2]) * (step_std / math.sqrt(2.0))
+    x = lfilter([1.0], [1.0, -decay], kicks)
+    a = lfilter([0.0, drive_gain], [1.0, -cavity_decay], x)
+    return x[cfg.burn_in :], a[cfg.burn_in :]

@@ -1,6 +1,10 @@
 """Stochastic time-domain oracle: stationarity, spectra, reproducibility."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +25,13 @@ from fpinoise.errors import EstimatorVarianceWarning
 from fpinoise.figures import oracle_product
 from fpinoise.fluctuations import cavity_fluct_components
 from fpinoise.oracle import (
+    _fluct_spectrum,
     stationary_input_power,
     stationary_photon_number,
     validate_sim_config,
 )
 from fpinoise.source import source_linewidth
+from routes import complex_kick_realization, welch_route
 
 SRC5 = SourceParams(p_in=5.0)
 SMALL = SimConfig(n_steps=16384, n_realizations=8, burn_in=4096)
@@ -76,6 +82,14 @@ class TestSimulate:
         assert np.all(traj.cavity_amplitude == 0.0)
         spec = intensity_fluct_spectrum(traj, SMALL, segment_length=2048)
         assert np.all(spec.values == 0.0)
+
+    def test_real_pair_kicks_equal_the_complex_construction(self, fpi):
+        cfg = SimConfig(n_steps=4096, n_realizations=2, burn_in=4096, seed=11)
+        traj = simulate(fpi, SRC5, cfg)
+        for r in range(2):
+            x, a = complex_kick_realization(fpi, SRC5, cfg, r)
+            assert np.array_equal(traj.input_amplitude[r], x)
+            assert np.array_equal(traj.cavity_amplitude[r], a)
 
     def test_trajectory_shapes(self, fpi):
         traj = simulate(fpi, SRC5, SMALL)
@@ -139,6 +153,56 @@ class TestIntensitySpectrum:
         assert dt_change < 0.05  # far below any first-order bias scale
 
 
+class TestWelchEstimate:
+    """The batched FFT estimate against per-row ``scipy.signal.welch``."""
+
+    @pytest.fixture(scope="class")
+    def intensity(self):
+        cfg = SimConfig(n_steps=16384, n_realizations=4, burn_in=4096)
+        return np.abs(simulate(FpiParams(), SRC5, cfg).cavity_amplitude) ** 2
+
+    @pytest.mark.filterwarnings("ignore::fpinoise.errors.EstimatorVarianceWarning")
+    @pytest.mark.parametrize(
+        "n_steps, length",
+        [
+            (16384, 2048),  # even segment length
+            (16384, 1001),  # odd segment length: the hop is 501, not 500
+            (16384, 16384),  # one segment per row
+            (10000, 2048),  # rows that are not a multiple of the hop
+        ],
+    )
+    def test_agrees_with_scipy_welch(self, intensity, n_steps, length):
+        rows = intensity[:, :n_steps]
+        got = _fluct_spectrum(rows, SMALL.dt, length)
+        want = welch_route(rows, SMALL.dt, length)
+        assert np.array_equal(got.omegas, want.omegas)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-13 * np.max(want.values)
+
+    @pytest.mark.parametrize("length", [0, 1, -4])
+    def test_segment_length_below_two_rejected(self, fpi, intensity, length):
+        traj = simulate(fpi, SRC5, SimConfig(n_steps=64, n_realizations=2, burn_in=4096))
+        with pytest.raises(ParameterError, match="segment_length"):
+            intensity_fluct_spectrum(traj, SMALL, segment_length=length)
+        with pytest.raises(ParameterError, match="segment_length"):
+            _fluct_spectrum(intensity, SMALL.dt, length)
+
+    def test_scipy_signal_loads_only_when_a_simulation_runs(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import sys\n"
+            "import fpinoise, fpinoise.cli\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+            "cfg = fpinoise.SimConfig(n_steps=64, n_realizations=2, burn_in=4096)\n"
+            "fpinoise.simulate(fpinoise.FpiParams(), fpinoise.SourceParams(p_in=5.0), cfg)\n"
+            "assert 'scipy.signal' in sys.modules\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert run.returncode == 0, run.stderr
+
+
 class TestStreamedOracle:
     """The oracle product runs one realization at a time."""
 
@@ -165,9 +229,11 @@ class TestStreamedOracle:
             self._run(fpi, n_realizations=2)
 
     def test_memory_grows_by_the_intensity_rows_only(self, fpi):
-        # doubling R from 16 adds 16 float64 rows of |a|^2 (n_steps) and of
-        # the per-run periodogram (8192 bins); the whole complex ensemble
-        # is never held at once
+        # doubling R from 16 adds 16 float64 rows of |a|^2 (n_steps) and
+        # nothing else: the periodograms are summed into one accumulator,
+        # and the whole complex ensemble is never held at once.  The
+        # scipy.signal import of the first simulation is not counted: the
+        # routes module imported above has loaded it already.
         def peak_bytes(n_realizations):
             tracemalloc.start()
             try:
@@ -177,4 +243,4 @@ class TestStreamedOracle:
                 tracemalloc.stop()
 
         growth = peak_bytes(32) - peak_bytes(16)
-        assert growth <= 1.25 * 16 * (16384 + 8192) * 8
+        assert growth <= 1.25 * 16 * 16384 * 8
