@@ -30,10 +30,10 @@ from .cavity import FpiParams, reflected_power, transmitted_power
 from .errors import ParameterError
 from .lorentz import (
     Lorentzian,
+    LorentzProduct,
     lorentz_product_integral,
     lorentz_value,
     map_over_omega,
-    product,
 )
 from .source import SourceParams, source_linewidth
 
@@ -84,9 +84,10 @@ def classical_noise_kernel(omega, fpi: FpiParams, src: SourceParams):
     """
     g = source_linewidth(src)
     kt, d = fpi.kappa_t, fpi.delta
+    fixed = (Lorentzian(0.0, g), Lorentzian(d, kt))
 
     def kernel(w: float) -> float:
-        prod = product((w, g), (w + d, kt), (0.0, g), (d, kt))
+        prod = LorentzProduct((Lorentzian(w, g), Lorentzian(w + d, kt)) + fixed)
         return lorentz_product_integral(prod).value
 
     return map_over_omega(kernel, omega)

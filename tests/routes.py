@@ -10,7 +10,12 @@ the residue engine and the quadrature, and ``variance_check_values``
 gives the targets of the variance sum rules.  The quantum and reflection
 noise kernels K1 and K2 have two reference routes here: per-point
 residue sums of their defining Lorentzian products, and an ``mpmath``
-quadrature of their defining integrals at any working precision.  For
+quadrature of their defining integrals at any working precision; K0 has
+the same ``mpmath`` route.  ``lorentz_value_route``,
+``product_value_route`` and ``half_plane_sum_route`` are the residue
+engine as it was before its scalar fast paths (every point through a 0-d
+numpy array, both half-planes grouped), which the engine must match bit
+for bit.  For
 the stochastic oracle, ``welch_route`` is the per-row
 ``scipy.signal.welch`` estimate that checks the batched FFT estimate,
 and ``complex_kick_realization`` builds a realization from complex
@@ -19,6 +24,7 @@ kicks through complex ``lfilter`` recurrences.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -30,8 +36,13 @@ from fpinoise.cavity import FpiParams, SpectrumGrid, mean_photon_number
 from fpinoise.errors import CoverageError, ParameterError
 from fpinoise.fluctuations import SpectrumDecomposition
 from fpinoise.lorentz import (
+    GROUP_FACTOR,
+    NEAR_DEGENERATE_FACTOR,
     TWO_PI,
     Lorentzian,
+    LorentzProduct,
+    _group_poles,
+    _NearDegeneratePoles,
     lorentz_product_integral,
     lorentz_value,
     map_over_omega,
@@ -193,6 +204,89 @@ def mp_commutator_kernels(mp, w: float, g: float, k: float, d: float):
     centers = sorted({-w, mp.mpf(0), w, d - w, d, d + w})
     breaks = [-mp.inf, *centers, mp.inf]
     return mp.quad(k1, breaks) / (4 * mp.pi), mp.quad(k2, breaks) / (2 * mp.pi)
+
+
+def mp_classical_kernel(mp, w: float, g: float, k: float, d: float):
+    """K0 at one frequency by ``mpmath`` quadrature of its definition.
+
+    K0 = (1/2pi) * integral s(u - w) s(u) du with s(u) = L(u, g) L(u - d, k),
+    split at every line center, at the caller's ``mp`` working precision.
+    """
+    w, g, k, d = (mp.mpf(x) for x in (w, g, k, d))
+
+    def line(x, width):
+        return 2 * width / (x * x + width * width)
+
+    def k0(u):
+        return line(u - w, g) * line(u - w - d, k) * line(u, g) * line(u - d, k)
+
+    centers = sorted({mp.mpf(0), w, d, d + w})
+    return mp.quad(k0, [-mp.inf, *centers, mp.inf]) / (2 * mp.pi)
+
+
+def lorentz_value_route(omega, line: Lorentzian):
+    """L(omega; center, hwhm) with every argument through a numpy array."""
+    d = np.asarray(omega, dtype=float) - line.center
+    k = line.hwhm
+    out = 2.0 * k / (d * d + k * k)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def product_value_route(prod: LorentzProduct, omega):
+    """``LorentzProduct.value`` on :func:`lorentz_value_route`."""
+    out = lorentz_value_route(omega, prod.factors[0])
+    for line in prod.factors[1:]:
+        out = out * lorentz_value_route(omega, line)
+    return out
+
+
+def half_plane_sum_route(centers, widths, tau):
+    """Lower-half-plane residue sum that groups both half-planes separately.
+
+    Raises ``_NearDegeneratePoles`` where the engine falls back to
+    quadrature.
+    """
+    width_sum = float(sum(widths))
+    group_tol = GROUP_FACTOR * width_sum
+    near_tol = NEAR_DEGENERATE_FACTOR * width_sum
+
+    lower = [complex(c, -k) for c, k in zip(centers, widths)]
+    upper = [complex(c, +k) for c, k in zip(centers, widths)]
+    lower_groups = _group_poles(lower, group_tol)
+    upper_groups = _group_poles(upper, group_tol)
+
+    for i in range(len(lower_groups)):
+        for j in range(i + 1, len(lower_groups)):
+            if abs(lower_groups[i][0] - lower_groups[j][0]) < near_tol:
+                raise _NearDegeneratePoles
+
+    prefactor = 1.0
+    for k in widths:
+        prefactor *= 2.0 * k
+
+    exp = np.exp if isinstance(tau, np.ndarray) else cmath.exp
+    all_groups = lower_groups + upper_groups
+    total = 0.0 + 0.0j
+    for pole, mult in lower_groups:
+        others = [(q, mq) for q, mq in all_groups if q is not pole]
+        h0 = prefactor * exp(-1j * pole * tau)
+        for q, mq in others:
+            h0 /= (pole - q) ** mq
+        if mult == 1:
+            total += h0
+            continue
+        s = [-1j * tau - sum(mq / (pole - q) for q, mq in others)]
+        for j in range(1, mult - 1):
+            fact = math.factorial(j) * (-1.0) ** (j + 1)
+            s.append(fact * sum(mq / (pole - q) ** (j + 1) for q, mq in others))
+        derivs = [h0]
+        for n in range(mult - 1):
+            nxt = sum(math.comb(n, k) * derivs[k] * s[n - k] for k in range(n + 1))
+            derivs.append(nxt)
+        total += derivs[mult - 1] / math.factorial(mult - 1)
+    return -1j * total
 
 
 def _rational_tail_transform(taus: np.ndarray, edge: float, coefficient: float) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from fpinoise import (
     CoverageError,
+    DegeneratePolesWarning,
     FpiParams,
     QuadratureSettings,
     SourceParams,
@@ -30,12 +31,14 @@ from fpinoise.fluctuations import (
     fluct_spectra,
     transmitted_fluct_components,
 )
-from fpinoise.lorentz import TWO_PI
+from fpinoise.lorentz import TWO_PI, product
 from fpinoise.source import source_linewidth
 from routes import (
     general_cavity_fluct_spectrum,
     general_freespace_fluct_spectrum,
+    half_plane_sum_route,
     mp_commutator_kernels,
+    product_value_route,
     residue_commutator_kernels,
     variance_check_values,
 )
@@ -121,6 +124,30 @@ class TestKernels:
         values = classical_noise_kernel(grid, fpi, src)
         interior = (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
         assert not np.any(interior)  # no interior maximum on the positive half
+
+    def test_k0_matches_route_bit_for_bit(self, fpi, sweep_sources):
+        grid = DEFAULT_OMEGA_GRID.build()
+        kt, d = fpi.kappa_t, fpi.delta
+        for src in sweep_sources:
+            g = source_linewidth(src)
+            expected = [
+                half_plane_sum_route((w, w + d, 0.0, d), (g, kt, g, kt), 0.0).real
+                for w in grid.tolist()
+            ]
+            assert classical_noise_kernel(grid, fpi, src).tobytes() == np.array(expected).tobytes()
+
+    def test_k0_fallback_matches_route_bit_for_bit(self):
+        fpi = FpiParams(delta=0.0)
+        src = SourceParams(p_in=0.0, gamma_max=fpi.kappa_t * (1.0 + 5e-10))
+        g, kt, d = source_linewidth(src), fpi.kappa_t, fpi.delta
+        grid = np.array([0.0, 1e-8, 0.3, -2.0])
+        with pytest.warns(DegeneratePolesWarning) as record:
+            values = classical_noise_kernel(grid, fpi, src)
+        assert len(record) == grid.size
+        for w, value in zip(grid.tolist(), values.tolist()):
+            prod = product((w, g), (w + d, kt), (0.0, g), (d, kt))
+            expected = adaptive_integral(lambda u: product_value_route(prod, u) / TWO_PI)
+            assert np.float64(value).tobytes() == np.float64(expected.value).tobytes()
 
     def test_positive(self, fpi, rng):
         src = SourceParams(p_in=rng.uniform(0.1, 50.0))

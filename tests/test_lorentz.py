@@ -11,15 +11,23 @@ from fpinoise import (
     Lorentzian,
     ParameterError,
     QuadratureSettings,
+    SourceParams,
     adaptive_integral,
     default_tau_grid,
     lorentz_product_integral,
     lorentz_product_transform,
     lorentz_value,
 )
-from fpinoise.lorentz import TWO_PI, lorentz_transform_quadrature, product
+import fpinoise.lorentz as lorentz
+from fpinoise.lorentz import TWO_PI, lorentz_transform_quadrature, map_over_omega, product
 from fpinoise.source import source_linewidth
-from routes import lorentz_convolve
+from routes import (
+    half_plane_sum_route,
+    lorentz_convolve,
+    lorentz_value_route,
+    mp_classical_kernel,
+    product_value_route,
+)
 
 TIGHT = QuadratureSettings(rel_tol=1e-11, abs_tol=1e-14, max_subdivisions=400)
 
@@ -62,6 +70,50 @@ class TestLorentzValue:
             Lorentzian(0.0, 0.0)
         with pytest.raises(ParameterError):
             Lorentzian(0.0, -1.0)
+
+
+def _bits(x) -> tuple:
+    x = np.asarray(x)
+    return x.dtype.str, x.shape, x.tobytes()
+
+
+class TestScalarTypes:
+    LINE = Lorentzian(0.4, 0.9)
+    PROD = product((0.4, 0.9), (-1.0, 0.3), (2.0, 1.7))
+
+    def _functions(self):
+        return (
+            lambda w: lorentz_value(w, self.LINE),
+            self.PROD.value,
+            lambda w: map_over_omega(self.PROD.value, w),
+        )
+
+    def test_scalars_give_python_float(self):
+        for fn in self._functions():
+            for w in (3.0, np.float64(3.0), 3, np.array(3.0)):
+                value = fn(w)
+                assert type(value) is float
+                assert _bits(value) == _bits(fn(3.0))
+
+    def test_arrays_keep_their_shape(self, rng):
+        for fn in self._functions():
+            for shape in ((7,), (3, 4)):
+                grid = rng.uniform(-5, 5, size=shape)
+                values = fn(grid)
+                assert values.shape == shape and values.dtype == np.float64
+                per_point = [fn(float(w)) for w in grid.ravel()]
+                assert _bits(values.ravel()) == _bits(np.array(per_point))
+
+    def test_empty_array_gives_empty_float_array(self):
+        for fn in self._functions():
+            values = fn(np.array([]))
+            assert values.shape == (0,) and values.dtype == np.float64
+
+    def test_float_branch_matches_route(self, rng):
+        for w in [0.4, -0.0, 1e150, -1e-300, *rng.uniform(-50, 50, size=200)]:
+            w = float(w)
+            assert _bits(lorentz_value(w, self.LINE)) == _bits(lorentz_value_route(w, self.LINE))
+            assert _bits(self.PROD.value(w)) == _bits(product_value_route(self.PROD, w))
 
 
 class TestConvolve:
@@ -172,6 +224,19 @@ class TestProductIntegral:
         mirrored = lorentz_product_integral(product(*[(-c, k) for c, k in pairs])).value
         assert mirrored == pytest.approx(base, rel=1e-12)
 
+    @pytest.mark.parametrize("p_in", (0.1, 1.5, 5.0))
+    def test_error_estimate_bounds_the_error(self, fpi, p_in):
+        # K0's integrand, whose poles pair up as w -> 0: exact repeats at
+        # w = 0, cancelling residue terms just above it
+        mp = pytest.importorskip("mpmath")
+        g, kt, d = source_linewidth(SourceParams(p_in=p_in)), fpi.kappa_t, fpi.delta
+        for w in (0.0, 1e-8, 1e-6, 1e-5, 1e-3, 0.3):
+            result = lorentz_product_integral(product((w, g), (w + d, kt), (0.0, g), (d, kt)))
+            assert result.method == "residue"
+            with mp.workdps(50):
+                error = abs(mp.mpf(result.value) - mp_classical_kernel(mp, w, g, kt, d))
+            assert error <= result.error_estimate, (w, float(error))
+
     def test_factor_count_bounds(self):
         with pytest.raises(ParameterError):
             product(*[(0.0, 1.0)] * 5)
@@ -277,3 +342,68 @@ class TestProductTransform:
         assert len(record) == 1
         per_lag = [lorentz_transform_quadrature(prod, float(t)) for t in taus]
         assert np.array_equal(values, np.array(per_lag))
+
+
+def _random_pairs(rng, n: int) -> list[tuple[float, float]]:
+    return [(float(rng.uniform(-10, 10)), float(rng.uniform(0.05, 5))) for _ in range(n)]
+
+
+def _route_cases(rng):
+    """Random 1-4 factor products, signed-zero centers and repeated poles."""
+    for _ in range(300):
+        yield _random_pairs(rng, int(rng.integers(1, 5)))
+    for signs in ((0.0, -0.0), (-0.0, -0.0), (-0.0, 0.0)):
+        yield [(signs[0], 0.5), (5.0, 1.1), (signs[1], 0.5), (5.0, 1.1)]
+    for mult in (2, 3, 4):
+        for _ in range(20):
+            pairs = _random_pairs(rng, 1) * mult + _random_pairs(rng, 4 - mult)
+            yield [pairs[i] for i in rng.permutation(4)]
+
+
+class TestEngineMatchesRoute:
+    """The residue engine against its pre-fast-path form, bit for bit."""
+
+    def test_integrals(self, rng):
+        for pairs in _route_cases(rng):
+            centers, widths = zip(*pairs)
+            result = lorentz_product_integral(product(*pairs))
+            assert result.method == "residue"
+            expected = half_plane_sum_route(centers, widths, 0.0).real
+            assert _bits(result.value) == _bits(expected), pairs
+
+    def test_transforms_over_lag_arrays(self, rng):
+        taus = np.concatenate(([0.0], rng.uniform(0.0, 20.0, size=23))).reshape(4, 6)
+        for pairs in _route_cases(rng):
+            centers, widths = zip(*pairs)
+            values = lorentz_product_transform(product(*pairs), taus)
+            assert _bits(values) == _bits(half_plane_sum_route(centers, widths, taus)), pairs
+
+    def test_fallback_equals_quadrature_of_route_integrand(self):
+        prod = product((0.0, 1.0), (0.0, 1.0 + 5e-10), (0.3, 0.5))
+        with pytest.warns(DegeneratePolesWarning):
+            result = lorentz_product_integral(prod)
+        assert result.method == "quadrature"
+        expected = adaptive_integral(lambda w: product_value_route(prod, w) / TWO_PI)
+        assert _bits(result.value) == _bits(expected.value)
+        assert _bits(result.error_estimate) == _bits(expected.error)
+
+    def test_fallback_integrand_makes_no_numpy_arrays(self, monkeypatch):
+        # a deterministic guard on the float fast path: a regression shows
+        # as asarray calls, not as a timing on a noisy machine
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def asarray(self, *args, **kwargs):
+                calls.append(args)
+                return np.asarray(*args, **kwargs)
+
+        monkeypatch.setattr(lorentz, "np", CountingNumpy())
+        prod = product((0.0, 1.0), (0.0, 1.0 + 5e-10), (0.3, 0.5))
+        with pytest.warns(DegeneratePolesWarning):
+            assert lorentz_product_integral(prod).method == "quadrature"
+        assert calls == []
+        lorentz.lorentz_value(np.float64(0.3), prod.factors[0])
+        assert len(calls) == 1  # the proxy does see the numpy branch
