@@ -14,7 +14,6 @@ from dataclasses import replace
 from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import __version__
 from .autocorr import cavity_autocorr, reflected_autocorr, transmitted_autocorr
@@ -76,6 +75,8 @@ def energy_split_fraction(fpi: FpiParams, src: SourceParams) -> float:
     the closed-form total; requires a positive detuning so the split
     point separates the drive-line and mode peaks.
     """
+    from scipy.integrate import quad
+
     if not fpi.delta > 0.0:
         raise ParameterError("energy split needs a positive detuning")
     total = mean_photon_number(fpi, src)

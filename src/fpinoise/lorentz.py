@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError, DegeneratePolesWarning, ParameterError
 
@@ -140,6 +139,8 @@ def adaptive_integral(
     raises :class:`ConvergenceError` when the requested tolerance cannot
     be met within ``max_subdivisions``.
     """
+    # scipy.integrate is imported only when a quadrature runs
+    from scipy.integrate import quad
 
     def transformed(u: float) -> float:
         t = math.tan(u)
@@ -232,7 +233,7 @@ def _half_plane_sum(
         # H(z) = C e^{-i z tau} prod (z - q)^{-mq}; residue = H^{(m-1)}(pole)/(m-1)!
         h0 = prefactor if exp is None else prefactor * exp(-1j * pole * tau)
         for q, mq in others:
-            h0 /= (pole - q) ** mq
+            h0 /= (pole - q) if mq == 1 else (pole - q) ** mq
         if mult == 1:
             total += h0
             magnitude += abs(h0)
@@ -343,6 +344,8 @@ def lorentz_transform_quadrature(
     to the Fourier-weighted adaptive quadrature (cycle summation with
     extrapolation), so no truncation cutoff enters.
     """
+    from scipy.integrate import quad
+
     if tau < 0.0:
         raise ParameterError("transform lag must be nonnegative")
     if tau == 0.0:

@@ -17,12 +17,16 @@ classical simulation, it reproduces the classical self-beat terms only;
 the colored quantum contribution and the white floors are outside its
 reach by construction.
 
-Realizations are generated one at a time.  :func:`streamed_estimate`,
+Realizations run on a thread pool, one worker per usable CPU, each
+generated in chunks of ``CHUNK_LENGTH`` steps.  :func:`streamed_estimate`,
 behind the ``oracle`` product, keeps only |a|^2 of each run and its
 per-run means, so its peak memory is the (n_realizations, n_steps)
-float64 intensity array plus one realization's complex amplitudes and
-periodogram segments.  :func:`simulate` stacks the same realizations
-into a :class:`Trajectory` for callers that want the amplitudes.
+float64 intensity array plus, per worker, one chunk's buffers and one
+n_steps row.  :func:`simulate` stacks the same realizations into a
+:class:`Trajectory`.  No bit depends on the worker count: realization r
+draws from its own (seed, r) stream, chunked draws and ``lfilter`` calls
+with carried state equal the one-shot calls, and the Welch rows are
+summed in row order.  The numpy and ``lfilter`` kernels release the GIL.
 
 ``scipy.signal`` (for the ``lfilter`` recurrences) is imported only when
 a simulation first runs, so importing the package does not load it.
@@ -31,7 +35,9 @@ a simulation first runs, so importing the package does not load it.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +49,8 @@ from .source import SourceParams, source_linewidth
 
 # samples per periodogram segment of the Welch estimate
 SEGMENT_LENGTH = 8192
+# steps generated at a time within a realization, after the burn-in chunk
+CHUNK_LENGTH = 2 * SEGMENT_LENGTH
 
 
 @dataclass(frozen=True)
@@ -109,17 +117,31 @@ def _stream(seed: int, realization: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _realizations(fpi: FpiParams, src: SourceParams, cfg: SimConfig):
-    """Iterator over the realizations' stationary drive and cavity amplitudes.
+def _worker_count(n_tasks: int) -> int:
+    """Threads for ``n_tasks`` independent tasks: one per usable CPU, at most one per task."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), n_tasks)
+    return min(os.cpu_count() or 1, n_tasks)
 
-    The configuration is validated at the call; each realization is
-    generated only when the iterator reaches it.  The drive update is the
-    exact discrete-time Ornstein-Uhlenbeck solution (exponential decay
-    plus an exactly scaled complex Gaussian increment), and the cavity
-    update the exact exponential propagator with the drive held constant
-    over each step; neither carries first-order step bias.  Fixed (seed,
-    realization) keys make every trajectory bit-reproducible and
-    realizations independent.
+
+def _thread_map(fn, n_tasks: int):
+    """Yield ``fn(0), ..., fn(n_tasks - 1)`` in order, computed on a thread pool."""
+    with ThreadPoolExecutor(_worker_count(n_tasks)) as pool:
+        yield from pool.map(fn, range(n_tasks))
+
+
+def _realization_chunks(fpi: FpiParams, src: SourceParams, cfg: SimConfig):
+    """Generator factory over one realization's stationary drive and cavity amplitudes.
+
+    The configuration is validated at the call.  ``chunks(r)`` runs
+    realization ``r``: the burn-in as one chunk, then ``CHUNK_LENGTH``
+    steps at a time, yielding (offset, x, a) for each stationary chunk.
+    The drive update is the exact discrete-time Ornstein-Uhlenbeck
+    solution (exponential decay plus an exactly scaled complex Gaussian
+    increment), and the cavity update the exact exponential propagator
+    with the drive held constant over each step; neither carries
+    first-order step bias.  Fixed (seed, realization) keys make every
+    trajectory bit-reproducible and realizations independent.
     """
     # scipy.signal takes about 0.6 s to import; only a simulation needs it
     from scipy.signal import lfilter
@@ -127,35 +149,49 @@ def _realizations(fpi: FpiParams, src: SourceParams, cfg: SimConfig):
     validate_sim_config(cfg, fpi, src)
     g = source_linewidth(src)
     lam = complex(fpi.kappa_t, fpi.delta)
-    total = cfg.burn_in + cfg.n_steps
 
     decay = math.exp(-g * cfg.dt)
     step_std = math.sqrt(src.p_in * (1.0 - decay * decay)) if src.p_in > 0 else 0.0
     cavity_decay = np.exp(-lam * cfg.dt)
     drive_gain = math.sqrt(2.0 * fpi.kappa1) * (1.0 - cavity_decay) / lam
+    sizes = [cfg.burn_in] if cfg.burn_in else []
+    sizes += [min(CHUNK_LENGTH, cfg.n_steps - s) for s in range(0, cfg.n_steps, CHUNK_LENGTH)]
 
-    def realization(r: int) -> tuple[np.ndarray, np.ndarray]:
+    def chunks(r: int):
         rng = _stream(cfg.seed, r)
-        # (real, imaginary) pairs of the complex kicks, in draw order
-        kicks = rng.standard_normal((total, 2))
-        kicks *= step_std / math.sqrt(2.0)
-        # x[n] = decay * x[n-1] + kick[n]; the real decay filters both parts alike
-        x = lfilter([1.0], [1.0, -decay], kicks, axis=0).view(np.complex128).ravel()
-        # a[n] = cavity_decay * a[n-1] + drive_gain * x[n-1]
-        a = lfilter([0.0, drive_gain], [1.0, -cavity_decay], x)
-        return x[cfg.burn_in :], a[cfg.burn_in :]
+        # filter states carried from chunk to chunk
+        x_state = np.zeros((1, 2))
+        a_state = np.zeros(1, dtype=np.complex128)
+        offset = -cfg.burn_in
+        for size in sizes:
+            # (real, imaginary) pairs of the complex kicks, in draw order
+            kicks = rng.standard_normal((size, 2))
+            kicks *= step_std / math.sqrt(2.0)
+            # x[n] = decay * x[n-1] + kick[n]; the real decay filters both parts alike
+            x, x_state = lfilter([1.0], [1.0, -decay], kicks, axis=0, zi=x_state)
+            x = x.view(np.complex128).ravel()
+            # a[n] = cavity_decay * a[n-1] + drive_gain * x[n-1]
+            a, a_state = lfilter([0.0, drive_gain], [1.0, -cavity_decay], x, zi=a_state)
+            if offset >= 0:
+                yield offset, x, a
+            offset += size
 
-    return map(realization, range(cfg.n_realizations))
+    return chunks
 
 
 def simulate(fpi: FpiParams, src: SourceParams, cfg: SimConfig) -> Trajectory:
     """Generate the stationary drive and cavity amplitudes of every realization."""
-    runs = _realizations(fpi, src, cfg)
+    chunks = _realization_chunks(fpi, src, cfg)
     x = np.empty((cfg.n_realizations, cfg.n_steps), dtype=np.complex128)
     a = np.empty_like(x)
-    for r, (drive, cavity) in enumerate(runs):
-        x[r] = drive
-        a[r] = cavity
+
+    def store(r: int) -> None:
+        for offset, drive, cavity in chunks(r):
+            x[r, offset : offset + drive.size] = drive
+            a[r, offset : offset + drive.size] = cavity
+
+    for _ in _thread_map(store, cfg.n_realizations):
+        pass
     return Trajectory(
         times=np.arange(cfg.n_steps) * cfg.dt, input_amplitude=x, cavity_amplitude=a
     )
@@ -191,12 +227,16 @@ def _fluct_spectrum(intensity: np.ndarray, dt: float, segment_length: int) -> Sp
         )
     # periodic Hann window, as scipy.signal.get_window("hann", length)
     window = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, length + 1))[:-1]
-    power = np.zeros(length // 2 + 1)
-    for row in intensity:
+
+    def row_power(r: int) -> np.ndarray:
         spectra = np.fft.rfft(
-            sliding_window_view(row - mean, length)[::hop][:count] * window, axis=1
+            sliding_window_view(intensity[r] - mean, length)[::hop][:count] * window, axis=1
         )
-        power += np.mean(spectra.real**2 + spectra.imag**2, axis=0)
+        return np.mean(spectra.real**2 + spectra.imag**2, axis=0)
+
+    power = np.zeros(length // 2 + 1)
+    for row in _thread_map(row_power, n_runs):  # summed in row order
+        power += row
     power *= dt / (n_runs * np.sum(window**2))
     two_sided = np.concatenate((power, power[(length + 1) // 2 - 1 : 0 : -1]))
     # the density in cyclic frequency equals the density in angular
@@ -245,21 +285,28 @@ def stationary_photon_number(traj: Trajectory) -> tuple[float, float]:
 def streamed_estimate(
     fpi: FpiParams, src: SourceParams, cfg: SimConfig
 ) -> tuple[SpectrumGrid, tuple[float, float], tuple[float, float]]:
-    """Cavity intensity spectrum, input power and photon number, one run at a time.
+    """Cavity intensity spectrum, input power and photon number, one chunk at a time.
 
     Equal bit for bit to :func:`intensity_fluct_spectrum`,
     :func:`stationary_input_power` and :func:`stationary_photon_number`
     applied to :func:`simulate`, but only |a|^2 of the whole ensemble is
-    kept: each realization's complex amplitudes are dropped once their
-    intensity and per-run means are recorded.
+    kept: each chunk's complex amplitudes are dropped once their moduli
+    are recorded.
     """
-    runs = _realizations(fpi, src, cfg)
+    chunks = _realization_chunks(fpi, src, cfg)
     intensity = np.empty((cfg.n_realizations, cfg.n_steps))
     power = np.empty(cfg.n_realizations)
     photons = np.empty(cfg.n_realizations)
-    for r, (x, a) in enumerate(runs):
-        power[r] = np.mean(np.abs(x) ** 2)
-        intensity[r] = np.abs(a) ** 2
-        photons[r] = intensity[r].mean()
+
+    def record(r: int) -> None:
+        drive = np.empty(cfg.n_steps)  # |x|, then |x|^2
+        for offset, x, a in chunks(r):
+            np.abs(x, out=drive[offset : offset + x.size])
+            np.abs(a, out=intensity[r, offset : offset + a.size])
+        power[r] = np.mean(np.square(drive, out=drive))
+        photons[r] = np.square(intensity[r], out=intensity[r]).mean()
+
+    for _ in _thread_map(record, cfg.n_realizations):
+        pass
     spectrum = _fluct_spectrum(intensity, cfg.dt, SEGMENT_LENGTH)
     return spectrum, _mean_and_stderr(power), _mean_and_stderr(photons)

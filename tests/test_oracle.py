@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -19,15 +20,18 @@ from fpinoise import (
     SourceParams,
     intensity_fluct_spectrum,
     mean_photon_number,
+    oracle,
     simulate,
 )
 from fpinoise.errors import EstimatorVarianceWarning
 from fpinoise.figures import oracle_product
 from fpinoise.fluctuations import cavity_fluct_components
 from fpinoise.oracle import (
+    CHUNK_LENGTH,
     _fluct_spectrum,
     stationary_input_power,
     stationary_photon_number,
+    streamed_estimate,
     validate_sim_config,
 )
 from fpinoise.source import source_linewidth
@@ -85,6 +89,26 @@ class TestSimulate:
 
     def test_real_pair_kicks_equal_the_complex_construction(self, fpi):
         cfg = SimConfig(n_steps=4096, n_realizations=2, burn_in=4096, seed=11)
+        traj = simulate(fpi, SRC5, cfg)
+        for r in range(2):
+            x, a = complex_kick_realization(fpi, SRC5, cfg, r)
+            assert np.array_equal(traj.input_amplitude[r], x)
+            assert np.array_equal(traj.cavity_amplitude[r], a)
+
+    @pytest.mark.parametrize(
+        "n_steps, burn_in",
+        [
+            (4096, 0),  # no burn-in chunk
+            (2 * CHUNK_LENGTH + 1000, 4096),  # not a multiple of the chunk
+            (SimConfig.n_steps, SimConfig.burn_in),  # the default shape
+        ],
+    )
+    def test_chunked_realizations_equal_the_complex_construction(
+        self, fpi, monkeypatch, n_steps, burn_in
+    ):
+        # the chunking is under test here, not the stationarity check
+        monkeypatch.setattr(oracle, "validate_sim_config", lambda *args: None)
+        cfg = SimConfig(n_steps=n_steps, n_realizations=2, burn_in=burn_in, seed=11)
         traj = simulate(fpi, SRC5, cfg)
         for r in range(2):
             x, a = complex_kick_realization(fpi, SRC5, cfg, r)
@@ -202,9 +226,35 @@ class TestWelchEstimate:
         )
         assert run.returncode == 0, run.stderr
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "from fpinoise.figures import energy_split_fraction\n"
+            "energy_split_fraction(fpinoise.FpiParams(), fpinoise.SourceParams(p_in=5.0))",
+            # distinct poles 1e-10 apart: the residue sum falls back to quadrature
+            "from fpinoise.lorentz import lorentz_product_integral, product\n"
+            "lorentz_product_integral(product((0.0, 1.0), (1e-10, 1.0)))",
+        ],
+    )
+    def test_scipy_integrate_loads_only_when_a_quadrature_runs(self, call):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import sys, warnings\n"
+            "import fpinoise, fpinoise.cli\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+            "warnings.simplefilter('ignore')\n"
+            f"{call}\n"
+            "assert 'scipy.integrate' in sys.modules\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert run.returncode == 0, run.stderr
+
 
 class TestStreamedOracle:
-    """The oracle product runs one realization at a time."""
+    """The oracle product keeps only |a|^2 of the whole ensemble."""
 
     @staticmethod
     def _run(fpi, **sim):
@@ -228,7 +278,7 @@ class TestStreamedOracle:
         with pytest.warns(EstimatorVarianceWarning):
             self._run(fpi, n_realizations=2)
 
-    def test_memory_grows_by_the_intensity_rows_only(self, fpi):
+    def test_memory_grows_by_the_intensity_rows_only(self, fpi, monkeypatch):
         # doubling R from 16 adds 16 float64 rows of |a|^2 (n_steps) and
         # nothing else: the periodograms are summed into one accumulator,
         # and the whole complex ensemble is never held at once.  The
@@ -242,5 +292,57 @@ class TestStreamedOracle:
             finally:
                 tracemalloc.stop()
 
+        # two workers on any machine, so no extra worker buffers enter the difference
+        monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 2)
         growth = peak_bytes(32) - peak_bytes(16)
         assert growth <= 1.25 * 16 * 16384 * 8
+
+    def test_a_second_worker_adds_one_workers_buffers_at_most(self, fpi, monkeypatch):
+        # a worker holds one chunk's kicks, drive and cavity amplitudes
+        # (48 bytes a step) and one float64 row of n_steps, or less than
+        # that in the Welch stage
+        def peak_bytes(workers):
+            monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: workers)
+            tracemalloc.start()
+            try:
+                self._run(fpi, n_realizations=16)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_worker = CHUNK_LENGTH * 48 + 16384 * 8
+        assert peak_bytes(2) - peak_bytes(1) <= 1.25 * one_worker
+
+
+class TestThreads:
+    """Realizations and Welch rows run on a thread pool without changing a bit."""
+
+    CFG = SimConfig(n_steps=2 * CHUNK_LENGTH + 1000, n_realizations=5, burn_in=4096)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_count_changes_no_bit(self, fpi, monkeypatch, workers):
+        def run(n):
+            monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: n)
+            threads = threading.active_count()
+            spectrum, power, photons = streamed_estimate(fpi, SRC5, self.CFG)
+            traj = simulate(fpi, SRC5, self.CFG)
+            assert threading.active_count() == threads
+            return spectrum.values, power, photons, traj.input_amplitude, traj.cavity_amplitude
+
+        for serial, threaded in zip(run(1), run(workers)):
+            assert np.array_equal(serial, threaded)
+
+    def test_a_failing_realization_propagates(self, fpi, monkeypatch):
+        stream = oracle._stream
+
+        def failing_stream(seed, realization):
+            if realization == 1:
+                raise RuntimeError("realization 1 failed")
+            return stream(seed, realization)
+
+        monkeypatch.setattr(oracle, "_stream", failing_stream)
+        monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 2)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="realization 1 failed"):
+            streamed_estimate(fpi, SRC5, self.CFG)
+        assert threading.active_count() == threads
