@@ -34,7 +34,6 @@ from .config import GridSpec, RunConfig, load_config, parse_config
 from .errors import (
     ConfigError,
     ConvergenceError,
-    CoverageError,
     DegeneratePolesWarning,
     ParameterError,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "AutoCorrelation",
     "ConfigError",
     "ConvergenceError",
-    "CoverageError",
     "DegeneratePolesWarning",
     "FpiParams",
     "GridSpec",

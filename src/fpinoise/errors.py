@@ -24,17 +24,6 @@ class ConvergenceError(RuntimeError):
         self.error_bound = error_bound
 
 
-class CoverageError(ValueError):
-    """A tabulated spectrum does not cover the support of an integrand.
-
-    ``required_half_width`` suggests how far the grid should extend.
-    """
-
-    def __init__(self, message: str, required_half_width: float):
-        super().__init__(message)
-        self.required_half_width = required_half_width
-
-
 class DegeneratePolesWarning(UserWarning):
     """Residue summation was abandoned for near-coincident poles."""
 

@@ -32,10 +32,10 @@ from .cavity import (
     transmitted_spectrum,
 )
 from .config import SWEEP_POWERS, RunConfig, config_echo
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 from .fluctuations import (
+    cavity_fluct_components,
     cavity_fluctuation_spectrum,
-    classical_noise_kernel,
     fluct_spectra,
     reflected_fluct_spectrum,
     transmitted_fluct_spectrum,
@@ -73,7 +73,9 @@ def energy_split_fraction(fpi: FpiParams, src: SourceParams) -> float:
 
     Quadrature of the transmitted density over (-inf, delta/2] against
     the closed-form total; requires a positive detuning so the split
-    point separates the drive-line and mode peaks.
+    point separates the drive-line and mode peaks.  Raises
+    :class:`ConvergenceError` when either quadrature reports failure,
+    as it does for drive lines much narrower than the cavity.
     """
     from scipy.integrate import quad
 
@@ -87,9 +89,17 @@ def energy_split_fraction(fpi: FpiParams, src: SourceParams) -> float:
         return cavity_field_spectrum(w, fpi, src) / (2.0 * math.pi)
 
     cut = -40.0 * (fpi.kappa_t + source_linewidth(src) + abs(fpi.delta))
-    tail, _ = quad(density, -np.inf, cut)
-    body, _ = quad(density, cut, 0.5 * fpi.delta, points=[0.0], limit=200)
-    return (tail + body) / total
+    tail = quad(density, -np.inf, cut, full_output=True)
+    body = quad(density, cut, 0.5 * fpi.delta, points=[0.0], limit=200, full_output=True)
+    fraction = (tail[0] + body[0]) / total
+    failures = [out[3].strip() for out in (tail, body) if len(out) > 3]
+    if failures:
+        raise ConvergenceError(
+            f"energy split quadrature did not converge: {'; '.join(failures)}",
+            estimate=fraction,
+            error_bound=(tail[1] + body[1]) / total,
+        )
+    return fraction
 
 
 def energy_split_report(sweep: FigureDataset) -> FigureDataset:
@@ -354,8 +364,7 @@ def oracle_product(cfg: RunConfig) -> FigureDataset:
     spec, (power_mean, power_err), (photon_mean, photon_err) = streamed_estimate(
         cfg.fpi, cfg.source, cfg.sim
     )
-    a = cfg.source.p_in * cfg.fpi.coupling
-    analytic = a * a * classical_noise_kernel(spec.omegas, cfg.fpi, cfg.source)
+    analytic = cavity_fluct_components(spec.omegas, cfg.fpi, cfg.source)[0]
     mask = np.abs(spec.omegas) <= 10.0
     scale = math.sqrt(float(np.mean(analytic[mask] ** 2)))
     rms = (

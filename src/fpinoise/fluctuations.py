@@ -18,6 +18,9 @@ All integrals are rational functions of (w, delta, gamma_l, kappa_t).  K1
 and the reflection cross kernel K2 are those functions in closed form,
 evaluated over the whole frequency array at once; K0 still sums residues
 point by point on the residue engine.
+
+:func:`fluct_spectra` builds all three spectra from one pass of the
+kernels; the per-port ``*_fluct_spectrum`` functions return its entries.
 """
 
 from __future__ import annotations
@@ -155,82 +158,10 @@ def _cavity_parts(k0, k1, fpi: FpiParams, src: SourceParams):
     return a * a * k0, a * k1
 
 
-def _transmitted_parts(k0, fpi: FpiParams, src: SourceParams):
-    a = src.p_in * fpi.coupling
-    scale = (2.0 * fpi.kappa2) ** 2
-    return scale * a * a * k0, transmitted_power(fpi, src)
-
-
-def _reflected_parts(omega, k0, k2, fpi: FpiParams, src: SourceParams):
-    g = source_linewidth(src)
-    b = fpi.removal_rate
-    self_beat = lorentz_value(omega, Lorentzian(0.0, 2.0 * g))
-    return src.p_in**2 * (self_beat - b * k2 + b * b * k0), reflected_power(fpi, src)
-
-
-def _freespace(omegas: np.ndarray, colored, floor: float) -> SpectrumDecomposition:
-    return SpectrumDecomposition(omegas, colored, np.zeros_like(colored), white_floor=floor)
-
-
 def cavity_fluct_components(omega, fpi: FpiParams, src: SourceParams):
     """Classical and quantum parts of the in-cavity photon-number noise."""
     k0 = classical_noise_kernel(omega, fpi, src)
     return _cavity_parts(k0, quantum_noise_kernel(omega, fpi, src), fpi, src)
-
-
-def cavity_fluctuation_spectrum(
-    omegas, fpi: FpiParams, src: SourceParams
-) -> SpectrumDecomposition:
-    """Photon-number fluctuation spectrum d2n(w) on a grid.
-
-    The classical part integrates to n^2, the quantum part to n, so the
-    variance is the thermal-statistics value n(n+1).
-    """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    return SpectrumDecomposition(omegas, *cavity_fluct_components(omegas, fpi, src))
-
-
-def transmitted_fluct_components(omega, fpi: FpiParams, src: SourceParams):
-    """Colored part and white floor of the transmitted power noise.
-
-    The colored part is the self-correlation of p_t(w) = 2 kappa2 n(w),
-    i.e. (2 kappa2)^2 times the classical in-cavity part; the quantum
-    noise is the flat floor p_t.
-    """
-    return _transmitted_parts(classical_noise_kernel(omega, fpi, src), fpi, src)
-
-
-def transmitted_fluct_spectrum(
-    omegas, fpi: FpiParams, src: SourceParams
-) -> SpectrumDecomposition:
-    """Transmitted power fluctuation spectrum d2p_t(w) on a grid."""
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    return _freespace(omegas, *transmitted_fluct_components(omegas, fpi, src))
-
-
-def reflected_fluct_components(omega, fpi: FpiParams, src: SourceParams):
-    """Colored part and white floor of the reflected power noise.
-
-    Self-correlation of the reflected spectrum expands into the drive
-    self-beat L(w, 2 gamma_l), minus the cross kernel, plus the removed
-    share beating with itself:
-
-        p_in^2 [L(w, 2 gamma_l) - B K2(w) + B^2 K0(w)],
-        B = 2 kappa1 (kappa2 + kappa0) / kappa_t  (FpiParams.removal_rate),
-
-    with white floor p_r.  Nonnegative pointwise, being a self-
-    correlation of a nonnegative spectrum.
-    """
-    k2 = reflection_cross_kernel(omega, fpi, src)
-    return _reflected_parts(omega, classical_noise_kernel(omega, fpi, src), k2, fpi, src)
-
-
-def reflected_fluct_spectrum(
-    omegas, fpi: FpiParams, src: SourceParams
-) -> SpectrumDecomposition:
-    """Reflected power fluctuation spectrum d2p_r(w) on a grid."""
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    return _freespace(omegas, *reflected_fluct_components(omegas, fpi, src))
 
 
 def fluct_spectra(
@@ -238,16 +169,53 @@ def fluct_spectra(
 ) -> tuple[SpectrumDecomposition, SpectrumDecomposition, SpectrumDecomposition]:
     """Photon-number, transmitted and reflected power noise from one K0.
 
-    Equal to :func:`cavity_fluctuation_spectrum`,
-    :func:`transmitted_fluct_spectrum` and :func:`reflected_fluct_spectrum`,
-    which each evaluate K0 on their own.
+    In the cavity, d2n = A^2 K0 + A K1: the classical part integrates to
+    n^2, the quantum part to n, so the variance is the thermal-statistics
+    value n(n+1).  The transmitted colored part is the self-correlation
+    of p_t(w) = 2 kappa2 n(w), i.e. (2 kappa2)^2 times the classical
+    in-cavity part.  The reflected one expands into the drive self-beat
+    L(w, 2 gamma_l), minus the cross kernel, plus the removed share
+    beating with itself:
+
+        p_in^2 [L(w, 2 gamma_l) - B K2(w) + B^2 K0(w)],
+        B = 2 kappa1 (kappa2 + kappa0) / kappa_t  (FpiParams.removal_rate),
+
+    nonnegative pointwise, being a self-correlation of a nonnegative
+    spectrum.  Outside the cavity the quantum noise is the flat floor p_t
+    or p_r, so the free-space ``quantum`` arrays are zero.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     k0 = classical_noise_kernel(omegas, fpi, src)
     k1 = quantum_noise_kernel(omegas, fpi, src)
     k2 = reflection_cross_kernel(omegas, fpi, src)
+    a = src.p_in * fpi.coupling
+    b = fpi.removal_rate
+    self_beat = lorentz_value(omegas, Lorentzian(0.0, 2.0 * source_linewidth(src)))
+    trans = (2.0 * fpi.kappa2) ** 2 * a * a * k0
+    refl = src.p_in**2 * (self_beat - b * k2 + b * b * k0)
     return (
         SpectrumDecomposition(omegas, *_cavity_parts(k0, k1, fpi, src)),
-        _freespace(omegas, *_transmitted_parts(k0, fpi, src)),
-        _freespace(omegas, *_reflected_parts(omegas, k0, k2, fpi, src)),
+        SpectrumDecomposition(omegas, trans, np.zeros_like(k0), transmitted_power(fpi, src)),
+        SpectrumDecomposition(omegas, refl, np.zeros_like(k0), reflected_power(fpi, src)),
     )
+
+
+def cavity_fluctuation_spectrum(
+    omegas, fpi: FpiParams, src: SourceParams
+) -> SpectrumDecomposition:
+    """Photon-number noise d2n(w) on a grid, entry 0 of :func:`fluct_spectra`."""
+    return fluct_spectra(omegas, fpi, src)[0]
+
+
+def transmitted_fluct_spectrum(
+    omegas, fpi: FpiParams, src: SourceParams
+) -> SpectrumDecomposition:
+    """Transmitted power noise d2p_t(w) on a grid, entry 1 of :func:`fluct_spectra`."""
+    return fluct_spectra(omegas, fpi, src)[1]
+
+
+def reflected_fluct_spectrum(
+    omegas, fpi: FpiParams, src: SourceParams
+) -> SpectrumDecomposition:
+    """Reflected power noise d2p_r(w) on a grid, entry 2 of :func:`fluct_spectra`."""
+    return fluct_spectra(omegas, fpi, src)[2]

@@ -4,7 +4,7 @@ None of this is on a production path.  The tabulated routes work on
 arbitrary gridded spectra: trapezoidal convolutions for the fluctuation
 spectra and a trapezoidal cosine transform with a rational 1/w^2 tail
 correction for the lag autocorrelations.  Both refuse, with
-:class:`~fpinoise.CoverageError`, grids that truncate too much of the
+:class:`CoverageError`, grids that truncate too much of the
 spectrum.  ``lorentz_convolve`` is the two-line closed form that checks
 the residue engine and the quadrature, and ``variance_check_values``
 gives the targets of the variance sum rules.  The quantum and reflection
@@ -33,7 +33,7 @@ from scipy.special import sici
 
 from fpinoise.autocorr import AutoCorrelation
 from fpinoise.cavity import FpiParams, SpectrumGrid, mean_photon_number
-from fpinoise.errors import CoverageError, ParameterError
+from fpinoise.errors import ParameterError
 from fpinoise.fluctuations import SpectrumDecomposition
 from fpinoise.lorentz import (
     GROUP_FACTOR,
@@ -56,6 +56,17 @@ from fpinoise.source import SourceParams, source_linewidth
 # this size are handled by the analytic 1/w^2 tail correction; beyond it
 # the tail model itself is no longer trustworthy.
 _TAIL_FRACTION = 2e-3
+
+
+class CoverageError(ValueError):
+    """A tabulated spectrum does not cover the support of an integrand.
+
+    ``required_half_width`` suggests how far the grid should extend.
+    """
+
+    def __init__(self, message: str, required_half_width: float):
+        super().__init__(message)
+        self.required_half_width = required_half_width
 
 
 def lorentz_convolve(shift: float, g1: float, g2: float) -> float:

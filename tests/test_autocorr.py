@@ -8,7 +8,6 @@ import pytest
 from scipy.integrate import quad
 
 from fpinoise import (
-    CoverageError,
     DegeneratePolesWarning,
     FpiParams,
     ParameterError,
@@ -22,19 +21,19 @@ from fpinoise import (
     lorentz_product_transform,
     mean_photon_number,
     reflected_autocorr,
+    reflected_fluct_spectrum,
     transmitted_autocorr,
+    transmitted_fluct_spectrum,
 )
 from fpinoise.autocorr import _line_mode_transform
 from fpinoise.cavity import reflected_power, transmitted_power
 from fpinoise.fluctuations import (
     SpectrumDecomposition,
     cavity_fluct_components,
-    reflected_fluct_components,
-    transmitted_fluct_components,
 )
 from fpinoise.lorentz import product
 from fpinoise.source import source_linewidth
-from routes import autocorr_from_spectrum
+from routes import CoverageError, autocorr_from_spectrum
 
 TAUS = default_tau_grid()
 
@@ -226,7 +225,7 @@ class TestTransmittedAutocorr:
         ac = transmitted_autocorr(fpi, src, taus)
         for i, tau in enumerate(taus):
             oracle = _cosine_transform_oracle(
-                lambda w: transmitted_fluct_components(w, fpi, src)[0], float(tau)
+                lambda w: transmitted_fluct_spectrum(w, fpi, src).colored[0], float(tau)
             )
             # the oscillatory quadrature certifies ~1e-10 absolute
             assert ac.values[i] == pytest.approx(oracle, rel=1e-6, abs=1e-9)
@@ -263,7 +262,7 @@ class TestReflectedAutocorr:
         src = SourceParams(p_in=5.0)
         ac, _ = reflected_autocorr(fpi, src, TAUS)
         variance = _cosine_transform_oracle(
-            lambda w: reflected_fluct_components(w, fpi, src)[0], 0.0
+            lambda w: reflected_fluct_spectrum(w, fpi, src).colored[0], 0.0
         )
         assert ac.values[0] == pytest.approx(variance, rel=1e-4)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpinoise import SourceParams, mean_photon_number, source_linewidth
+from fpinoise import ConvergenceError, SourceParams, mean_photon_number, source_linewidth
 from fpinoise.cli import _build_parser, main
 from fpinoise.config import PRODUCTS, RunConfig, parse_config
 from fpinoise.figures import (
@@ -111,6 +111,13 @@ class TestEnergySplit:
     def test_report_dataset(self):
         ds = energy_split_report(sweep_product(RunConfig()))
         assert list(ds.series["p_in"]) == [1.5, 5.0, 50.0]
+
+    def test_narrow_line_quadrature_failure_raises(self):
+        # the true fraction is 0.9999658 (30-digit mpmath); quad returns 2.1e-5
+        src = SourceParams(p_in=1.5, gamma_max=1e-4)
+        with pytest.raises(ConvergenceError) as info:
+            energy_split_fraction(RunConfig().fpi, src)
+        assert info.value.error_bound > 0.0
 
 
 class TestWriters:
@@ -258,3 +265,11 @@ class TestCliMain:
         assert code == 0
         assert (out / "sweep.csv").exists()
         assert (out / "energy_split.csv").exists()
+
+    def test_sweep_with_a_narrow_line_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        cfg_file = tmp_path / "narrow.cfg"
+        cfg_file.write_text("source.gamma_max = 1e-4\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 3
+        assert "energy split" in capsys.readouterr().err
+        assert not out.exists()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fpinoise import (
-    CoverageError,
     DegeneratePolesWarning,
     FpiParams,
     QuadratureSettings,
@@ -24,16 +23,17 @@ from fpinoise import (
     transmitted_fluct_spectrum,
     transmitted_spectrum,
 )
+from fpinoise import fluctuations
 from fpinoise.cavity import reflected_power, transmitted_power
 from fpinoise.config import DEFAULT_OMEGA_GRID
 from fpinoise.fluctuations import (
     cavity_fluct_components,
     fluct_spectra,
-    transmitted_fluct_components,
 )
 from fpinoise.lorentz import TWO_PI, product
 from fpinoise.source import source_linewidth
 from routes import (
+    CoverageError,
     general_cavity_fluct_spectrum,
     general_freespace_fluct_spectrum,
     half_plane_sum_route,
@@ -294,7 +294,8 @@ class TestFreeSpaceSpectra:
         p_grid = SpectrumGrid(grid, transmitted_spectrum(grid, fpi, src))
         for w in (0.0, 2.5, 5.0):
             colored, floor = general_freespace_fluct_spectrum(p_grid, w)
-            exact_colored, exact_floor = transmitted_fluct_components(w, fpi, src)
+            exact = transmitted_fluct_spectrum(w, fpi, src)
+            exact_colored, exact_floor = exact.colored[0], exact.white_floor
             assert colored == pytest.approx(exact_colored, rel=1e-6)
             assert floor == pytest.approx(exact_floor, rel=1e-6)
 
@@ -309,12 +310,24 @@ class TestFreeSpaceSpectra:
             assert floor == pytest.approx(spec.white_floor, rel=1e-6)
 
 
-    def test_one_kernel_pass_equals_the_three_spectra(self, fpi, sweep_sources):
+    def test_one_kernel_pass_equals_the_three_spectra(self, fpi, sweep_sources, monkeypatch):
+        calls = []
+
+        def counted(omega, fpi, src):
+            calls.append(np.size(omega))
+            return classical_noise_kernel(omega, fpi, src)
+
+        monkeypatch.setattr(fluctuations, "classical_noise_kernel", counted)
         grid = np.linspace(-10.0, 15.0, 51)
         builds = (cavity_fluctuation_spectrum, transmitted_fluct_spectrum, reflected_fluct_spectrum)
         for src in sweep_sources:
-            for shared, build in zip(fluct_spectra(grid, fpi, src), builds):
+            calls.clear()
+            spectra = fluct_spectra(grid, fpi, src)
+            assert calls == [grid.size]
+            for shared, build in zip(spectra, builds):
+                calls.clear()
                 single = build(grid, fpi, src)
+                assert calls == [grid.size]
                 assert np.array_equal(shared.classical, single.classical)
                 assert np.array_equal(shared.quantum, single.quantum)
                 assert shared.white_floor == single.white_floor
