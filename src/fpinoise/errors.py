@@ -25,7 +25,7 @@ class ConvergenceError(RuntimeError):
 
 
 class DegeneratePolesWarning(UserWarning):
-    """Residue summation was abandoned for near-coincident poles."""
+    """Residue summation was abandoned: its round-off bound missed the tolerance."""
 
 
 class EstimatorVarianceWarning(UserWarning):

@@ -34,15 +34,14 @@ TWO_PI = 2.0 * math.pi
 # numerics never touch it.
 KAPPA_L_RAD_PER_SEC = 4.0e11
 
-# Two distinct poles closer than NEAR_DEGENERATE_FACTOR * (sum of widths)
-# make the residue sum ill-conditioned; quadrature takes over.  Poles
-# closer than GROUP_FACTOR * (sum of widths) are treated as one pole of
-# higher multiplicity.
+# Poles closer than GROUP_FACTOR * (sum of widths) are treated as one
+# pole of higher multiplicity.  Distinct poles just farther apart give
+# residue terms that cancel; their round-off bound below then misses the
+# quadrature tolerance and quadrature takes over.
 GROUP_FACTOR = 1e-12
-NEAR_DEGENERATE_FACTOR = 1e-9
 
 # Round-off of one residue term, relative to its magnitude.
-_ROUNDOFF = 16.0 * np.finfo(float).eps
+_ROUNDOFF = 16.0 * math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -118,6 +117,13 @@ class QuadratureSettings:
         if self.max_subdivisions < 1:
             raise ParameterError("max_subdivisions must be at least 1")
 
+    def accepts(self, value: float, error: float) -> bool:
+        """Whether ``error`` <= 10 max(abs_tol, rel_tol |value|); NaN or inf fails.
+
+        Plain ``max``/``abs``: the per-point residue integrals stay off numpy.
+        """
+        return error < math.inf and error <= max(self.abs_tol, self.rel_tol * abs(value)) * 10.0
+
 
 DEFAULT_QUADRATURE = QuadratureSettings()
 
@@ -162,17 +168,13 @@ def adaptive_integral(
             estimate=value,
             error_bound=error,
         )
-    if error > max(settings.abs_tol, settings.rel_tol * abs(value)) * 10.0:
+    if not settings.accepts(value, error):
         raise ConvergenceError(
             "adaptive integral error bound exceeds the requested tolerance",
             estimate=value,
             error_bound=error,
         )
     return IntegralEstimate(value, error)
-
-
-class _NearDegeneratePoles(Exception):
-    """Internal: distinct poles too close for a stable residue sum."""
 
 
 def _group_poles(poles: Sequence[complex], tol: float) -> list[list]:
@@ -197,27 +199,19 @@ def _half_plane_sum(
     """Sum of residues needed for (1/2pi) * integral prod_i L(w - c_i, k_i) e^{-i w tau} dw.
 
     For tau >= 0 the contour closes in the lower half-plane; for tau == 0
-    either closure works and the lower one is kept.  Raises
-    :class:`_NearDegeneratePoles` when two distinct pole clusters nearly
-    coincide (catastrophic cancellation territory); exactly repeated
-    poles are handled through their multiplicity.  The pole geometry does
-    not depend on the lag, so an array ``tau`` is grouped and checked once
-    and gives an array of sums; a float ``tau`` stays on scalar ``cmath``,
-    which is faster for the one-point integrals of the noise kernels.
-    Returns the sum and the summed magnitudes of its residue terms.
+    either closure works and the lower one is kept.  Poles within
+    ``GROUP_FACTOR`` of the summed widths form one pole of higher
+    multiplicity.  The pole geometry does not depend on the lag, so an
+    array ``tau`` is grouped once and gives arrays; a float ``tau`` stays
+    on scalar ``cmath``, which is faster for the one-point integrals of
+    the noise kernels.  Returns the sum and the summed magnitudes of its
+    residue terms, which measure the cancellation between them.
     """
-    width_sum = float(sum(widths))
-    group_tol = GROUP_FACTOR * width_sum
-    near_tol = NEAR_DEGENERATE_FACTOR * width_sum
+    group_tol = GROUP_FACTOR * float(sum(widths))
 
     lower_groups = _group_poles([complex(c, -k) for c, k in zip(centers, widths)], group_tol)
     # the running-mean grouping commutes with conjugation
     upper_groups = [[p.conjugate(), m] for p, m in lower_groups]
-
-    for i in range(len(lower_groups)):
-        for j in range(i + 1, len(lower_groups)):
-            if abs(lower_groups[i][0] - lower_groups[j][0]) < near_tol:
-                raise _NearDegeneratePoles
 
     prefactor = 1.0
     for k in widths:
@@ -264,7 +258,6 @@ class ProductIntegral:
     value: float
     method: str  # "residue" or "quadrature"
     error_estimate: float
-    degenerate_fallback: bool
 
     def __float__(self) -> float:
         return self.value
@@ -278,26 +271,27 @@ def lorentz_product_integral(
 
     The residue sum over one half-plane is exact for distinct poles and
     handles repeated poles through derivatives of the reduced product.
-    Two *distinct* poles within ``NEAR_DEGENERATE_FACTOR`` times the
-    summed widths of each other would cancel catastrophically, so that
-    case falls back to the adaptive quadrature and is flagged on the
-    returned record.  The residue ``error_estimate`` is 16 eps times the
-    summed magnitudes of the residue terms: it bounds the round-off of
-    the cancellation between them, which grows as poles approach.
+    Its ``error_estimate`` is 16 eps times the summed magnitudes of the
+    residue terms: it bounds the round-off of the cancellation between
+    them, which grows as distinct poles approach.  When that bound misses
+    the tolerance of ``settings`` (:meth:`QuadratureSettings.accepts`, the
+    test the adaptive quadrature applies to its own result), the integral
+    falls back to the adaptive quadrature under a
+    :class:`DegeneratePolesWarning`, and ``method`` says so.
     """
     centers = [line.center for line in prod.factors]
     widths = [line.hwhm for line in prod.factors]
-    try:
-        total, magnitude = _half_plane_sum(centers, widths, 0.0)
-    except _NearDegeneratePoles:
-        warnings.warn(
-            "near-coincident poles: falling back to adaptive quadrature",
-            DegeneratePolesWarning,
-            stacklevel=2,
-        )
-        est = adaptive_integral(lambda w: prod.value(w) / TWO_PI, settings)
-        return ProductIntegral(est.value, "quadrature", est.error, True)
-    return ProductIntegral(total.real, "residue", _ROUNDOFF * magnitude, False)
+    total, magnitude = _half_plane_sum(centers, widths, 0.0)
+    value, error = total.real, _ROUNDOFF * magnitude
+    if settings.accepts(value, error):
+        return ProductIntegral(value, "residue", error)
+    warnings.warn(
+        "near-coincident poles: falling back to adaptive quadrature",
+        DegeneratePolesWarning,
+        stacklevel=2,
+    )
+    est = adaptive_integral(lambda w: prod.value(w) / TWO_PI, settings)
+    return ProductIntegral(est.value, "quadrature", est.error)
 
 
 def lorentz_product_transform(
@@ -309,19 +303,20 @@ def lorentz_product_transform(
 
     ``tau`` is one lag, giving a ``complex``, or an array of lags, giving
     a complex array of the same shape.  Exact residue evaluation with the
-    poles grouped and checked once per call; the same near-degeneracy
-    fallback as :func:`lorentz_product_integral`, done lag by lag with the
-    Fourier-weighted quadrature of :func:`lorentz_transform_quadrature`
-    under a single warning.
+    poles grouped once per call, and the round-off bound of
+    :func:`lorentz_product_integral` at every lag.  When the bound of any
+    lag misses the tolerance of ``settings``, the whole call falls back,
+    lag by lag, to the Fourier-weighted quadrature of
+    :func:`lorentz_transform_quadrature` under a single warning.
     """
     lags = np.asarray(tau, dtype=float)
     if np.any(lags < 0.0):
         raise ParameterError("transform lag must be nonnegative; use conjugation for tau < 0")
     centers = [line.center for line in prod.factors]
     widths = [line.hwhm for line in prod.factors]
-    try:
-        values = _half_plane_sum(centers, widths, lags)[0]
-    except _NearDegeneratePoles:
+    values, magnitudes = _half_plane_sum(centers, widths, lags)
+    bounds = (_ROUNDOFF * magnitudes).ravel().tolist()
+    if not all(map(settings.accepts, np.abs(values).ravel().tolist(), bounds)):
         warnings.warn(
             "near-coincident poles: transform falls back to adaptive quadrature",
             DegeneratePolesWarning,

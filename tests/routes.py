@@ -37,12 +37,10 @@ from fpinoise.errors import ParameterError
 from fpinoise.fluctuations import SpectrumDecomposition
 from fpinoise.lorentz import (
     GROUP_FACTOR,
-    NEAR_DEGENERATE_FACTOR,
     TWO_PI,
     Lorentzian,
     LorentzProduct,
     _group_poles,
-    _NearDegeneratePoles,
     lorentz_product_integral,
     lorentz_value,
     map_over_omega,
@@ -254,24 +252,13 @@ def product_value_route(prod: LorentzProduct, omega):
 
 
 def half_plane_sum_route(centers, widths, tau):
-    """Lower-half-plane residue sum that groups both half-planes separately.
-
-    Raises ``_NearDegeneratePoles`` where the engine falls back to
-    quadrature.
-    """
-    width_sum = float(sum(widths))
-    group_tol = GROUP_FACTOR * width_sum
-    near_tol = NEAR_DEGENERATE_FACTOR * width_sum
+    """Lower-half-plane residue sum that groups both half-planes separately."""
+    group_tol = GROUP_FACTOR * float(sum(widths))
 
     lower = [complex(c, -k) for c, k in zip(centers, widths)]
     upper = [complex(c, +k) for c, k in zip(centers, widths)]
     lower_groups = _group_poles(lower, group_tol)
     upper_groups = _group_poles(upper, group_tol)
-
-    for i in range(len(lower_groups)):
-        for j in range(i + 1, len(lower_groups)):
-            if abs(lower_groups[i][0] - lower_groups[j][0]) < near_tol:
-                raise _NearDegeneratePoles
 
     prefactor = 1.0
     for k in widths:

@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpinoise import ConvergenceError, SourceParams, mean_photon_number, source_linewidth
+from fpinoise import (
+    ConvergenceError,
+    DegeneratePolesWarning,
+    SourceParams,
+    mean_photon_number,
+    source_linewidth,
+)
 from fpinoise.cli import _build_parser, main
 from fpinoise.config import PRODUCTS, RunConfig, parse_config
 from fpinoise.figures import (
@@ -258,6 +264,18 @@ class TestCliMain:
         metadata, header, rows = _read_csv(out / "oracle.csv")
         assert metadata["sim.seed"] == "7"
         assert {"omega", "estimated", "analytic_classical"} <= set(header)
+
+    def test_fluct_at_near_coincident_poles_writes_the_true_k0(self, tmp_path):
+        # delta = 0, gamma_l = kappa_t (1 + 1e-8): the residue sum of K0
+        # cancels to 1.2e8 at w = 0; its bound sends every point to quadrature
+        cfg_file = tmp_path / "degenerate.cfg"
+        cfg_file.write_text("fpi.delta = 0\nsource.gamma_max = 2.7500000275\ngrid.omega = -2:2:5\n")
+        out = tmp_path / "out"
+        with pytest.warns(DegeneratePolesWarning):
+            assert main(["fluct", "--config", str(cfg_file), "--out", str(out)]) == 0
+        _, header, rows = _read_csv(out / "fluct.csv")
+        (at_zero,) = rows[rows[:, header.index("omega")] == 0.0]
+        assert at_zero[header.index("d2n_classical")] == pytest.approx(0.8731705975, rel=1e-9)
 
     def test_sweep_subcommand_emits_split(self, tmp_path):
         out = tmp_path / "out"

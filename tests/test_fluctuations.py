@@ -37,6 +37,7 @@ from routes import (
     general_cavity_fluct_spectrum,
     general_freespace_fluct_spectrum,
     half_plane_sum_route,
+    mp_classical_kernel,
     mp_commutator_kernels,
     product_value_route,
     residue_commutator_kernels,
@@ -148,6 +149,34 @@ class TestKernels:
             prod = product((w, g), (w + d, kt), (0.0, g), (d, kt))
             expected = adaptive_integral(lambda u: product_value_route(prod, u) / TWO_PI)
             assert np.float64(value).tobytes() == np.float64(expected.value).tobytes()
+
+    @pytest.mark.parametrize(
+        "delta, eps, p_in, w",
+        (
+            # gamma_l = kappa_t (1 + eps) near delta = 0: distinct poles whose
+            # residue terms cancel at w = 0 (the residue sum was off by 1e8)
+            (0.0, 1e-8, 0.0, 0.0),
+            (0.0, 1e-6, 0.0, 0.0),
+            (1e-6, 1e-6, 0.0, 0.0),
+            # default line: (w, gamma_l)/(0, gamma_l) and
+            # (w + delta, kappa_t)/(delta, kappa_t) pair up at tiny w
+            (5.0, None, 5.0, 1e-8),
+            (5.0, None, 5.0, 1e-6),
+            (5.0, None, 5.0, 1e-5),
+        ),
+    )
+    def test_k0_where_residue_terms_cancel_matches_mpmath(self, delta, eps, p_in, w):
+        mp = pytest.importorskip("mpmath")
+        fpi = FpiParams(delta=delta)
+        src = SourceParams(p_in=p_in) if eps is None else SourceParams(
+            p_in=p_in, gamma_max=fpi.kappa_t * (1.0 + eps)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneratePolesWarning)
+            value = classical_noise_kernel(w, fpi, src)
+        with mp.workdps(40):
+            exact = mp_classical_kernel(mp, w, source_linewidth(src), fpi.kappa_t, delta)
+            assert abs(value / exact - 1) <= 1e-12
 
     def test_positive(self, fpi, rng):
         src = SourceParams(p_in=rng.uniform(0.1, 50.0))

@@ -5,7 +5,8 @@ cancels at (delta = 0 or tiny, gamma_l = kappa_t (1 + eps)), at, near
 and away from w = 0.  Every draw is checked against a 30-digit ``mpmath``
 quadrature of the defining integrals: the closed forms K1 and K2 to
 1e-13 relative, and K0's Lorentz-product integral to within the error
-estimate it returns.  Derandomized, so every run draws the same examples.
+estimate it returns, which meets the default quadrature tolerance.
+Derandomized, so every run draws the same examples.
 """
 
 import warnings
@@ -26,7 +27,7 @@ from fpinoise import (  # noqa: E402
     quantum_noise_kernel,
     reflection_cross_kernel,
 )
-from fpinoise.lorentz import product  # noqa: E402
+from fpinoise.lorentz import DEFAULT_QUADRATURE, product  # noqa: E402
 from fpinoise.source import KAPPA_L, source_linewidth  # noqa: E402
 from routes import mp_classical_kernel, mp_commutator_kernels  # noqa: E402
 
@@ -89,3 +90,5 @@ def test_classical_kernel_error_estimate_bounds_its_error(
     with mp.workdps(30):
         exact = mp_classical_kernel(mp, omega, g, k, delta)
         assert abs(r.value - exact) <= r.error_estimate, (r.method, r.value, exact)
+    tol = DEFAULT_QUADRATURE
+    assert r.error_estimate <= 10.0 * max(tol.abs_tol, tol.rel_tol * abs(r.value)), r.method

@@ -1,6 +1,7 @@
 """Lorentzian primitives: residue integrals against the quadrature oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,7 +191,6 @@ class TestProductIntegral:
         with pytest.warns(DegeneratePolesWarning):
             result = lorentz_product_integral(prod)
         assert result.method == "quadrature"
-        assert result.degenerate_fallback
         assert result.value == pytest.approx(lorentz_convolve(0.0, 0.5, 0.5), rel=1e-8)
 
     def test_randomized_residue_vs_quadrature(self, rng):
@@ -227,15 +227,23 @@ class TestProductIntegral:
     @pytest.mark.parametrize("p_in", (0.1, 1.5, 5.0))
     def test_error_estimate_bounds_the_error(self, fpi, p_in):
         # K0's integrand, whose poles pair up as w -> 0: exact repeats at
-        # w = 0, cancelling residue terms just above it
+        # w = 0, cancelling residue terms just above it, whose bound misses
+        # the tolerance and sends the integral to quadrature
         mp = pytest.importorskip("mpmath")
         g, kt, d = source_linewidth(SourceParams(p_in=p_in)), fpi.kappa_t, fpi.delta
-        for w in (0.0, 1e-8, 1e-6, 1e-5, 1e-3, 0.3):
-            result = lorentz_product_integral(product((w, g), (w + d, kt), (0.0, g), (d, kt)))
-            assert result.method == "residue"
+        methods = {0.0: "residue", 1e-8: "quadrature", 1e-6: "quadrature",
+                   1e-5: "quadrature", 1e-3: "residue", 0.3: "residue"}
+        for w, method in methods.items():
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                result = lorentz_product_integral(product((w, g), (w + d, kt), (0.0, g), (d, kt)))
+            assert result.method == method, w
+            assert [r.category for r in record] == [DegeneratePolesWarning] * (method == "quadrature")
             with mp.workdps(50):
                 error = abs(mp.mpf(result.value) - mp_classical_kernel(mp, w, g, kt, d))
             assert error <= result.error_estimate, (w, float(error))
+            tol = lorentz.DEFAULT_QUADRATURE
+            assert result.error_estimate <= 10.0 * max(tol.abs_tol, tol.rel_tol * abs(result.value))
 
     def test_factor_count_bounds(self):
         with pytest.raises(ParameterError):
@@ -272,6 +280,16 @@ class TestAdaptiveIntegral:
             adaptive_integral(lambda w: spiky.value(w) / TWO_PI, starved)
         assert math.isfinite(info.value.estimate)
         assert info.value.error_bound > 0.0
+
+    def test_acceptance_rule(self):
+        settings = QuadratureSettings(rel_tol=1e-11, abs_tol=1e-13)
+        assert settings.accepts(2.0, 1.9e-10)
+        assert not settings.accepts(2.0, 2.1e-10)
+        assert settings.accepts(-2.0, 1.9e-10)
+        assert settings.accepts(0.0, 0.9e-12)
+        assert not settings.accepts(0.0, 1.1e-12)
+        assert not settings.accepts(1.0, math.nan)
+        assert not settings.accepts(math.inf, math.inf)
 
     def test_settings_validation(self):
         with pytest.raises(ParameterError):
