@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .autocorr import (
     AutoCorrelation,
     cavity_autocorr,
-    default_tau_grid,
     dominant_oscillation_frequency,
     reflected_autocorr,
     transmitted_autocorr,
@@ -96,7 +95,6 @@ __all__ = [
     "cavity_fluctuation_spectrum",
     "classical_noise_kernel",
     "commutator_spectrum",
-    "default_tau_grid",
     "dominant_oscillation_frequency",
     "emitted_power",
     "input_spectrum",

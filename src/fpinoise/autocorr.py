@@ -72,11 +72,6 @@ class ExponentialFit:
     rms_deviation: float
 
 
-def default_tau_grid(tau_max: float = 12.0, count: int = 601) -> np.ndarray:
-    """Uniform nonnegative lag grid, tau * kappa_l in [0, tau_max]."""
-    return np.linspace(0.0, tau_max, count)
-
-
 def _line_mode_transform(tau, g: float, k: float, d: float):
     """(1/2pi) * integral L(w, g) L(w - d, k) e^{-i w tau} dw for tau >= 0.
 

@@ -180,9 +180,11 @@ def fluct_spectra(
         p_in^2 [L(w, 2 gamma_l) - B K2(w) + B^2 K0(w)],
         B = 2 kappa1 (kappa2 + kappa0) / kappa_t  (FpiParams.removal_rate),
 
-    nonnegative pointwise, being a self-correlation of a nonnegative
-    spectrum.  Outside the cavity the quantum noise is the flat floor p_t
-    or p_r, so the free-space ``quantum`` arrays are zero.
+    a self-correlation of a nonnegative spectrum whose terms cancel (to
+    ~1/gamma_l at critical coupling, kappa1 = kappa2 + kappa0): round-off
+    can take it below zero, by under 2 eps p_in^2 [L + B K2 + B^2 K0] in
+    the property tests.  Outside the cavity the quantum noise is the flat
+    floor p_t or p_r, so the free-space ``quantum`` arrays are zero.
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     k0 = classical_noise_kernel(omegas, fpi, src)

@@ -9,8 +9,9 @@ this package reduces to integrals of products of a few such lines over
 the whole frequency axis.  Those integrals are rational and are computed
 exactly here by closing the contour in one half-plane and summing
 residues, including repeated poles.  An adaptive quadrature over the
-infinite axis (tangent substitution, no truncation cutoff) provides an
-independent numerical route used as a cross-check everywhere.
+infinite axis (tangent substitution, no truncation cutoff) is the
+independent cross-check, and the fallback of a residue sum whose
+round-off bound misses the one tolerance :data:`DEFAULT_QUADRATURE`.
 
 All frequencies and rates are dimensionless, expressed in units of the
 source-cavity escape rate; see :data:`KAPPA_L_RAD_PER_SEC`.
@@ -18,11 +19,10 @@ source-cavity escape rate; see :data:`KAPPA_L_RAD_PER_SEC`.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -128,22 +128,26 @@ class QuadratureSettings:
 DEFAULT_QUADRATURE = QuadratureSettings()
 
 
-class IntegralEstimate(NamedTuple):
+@dataclass(frozen=True)
+class ProductIntegral:
+    """A (1/2pi) axis integral, how it was obtained and a bound on its error."""
+
     value: float
-    error: float
+    method: str  # "residue" (round-off bound) or "quadrature" (reported bound)
+    error_estimate: float
 
 
 def adaptive_integral(
     f: Callable[[float], float],
     settings: QuadratureSettings = DEFAULT_QUADRATURE,
-) -> IntegralEstimate:
+) -> ProductIntegral:
     """Adaptive quadrature of ``f`` over the whole real axis.
 
     The substitution w = tan(u) maps the axis onto (-pi/2, pi/2), so
     rational tails (decay at least 1/w^2) are integrated without any
-    truncation cutoff.  Returns the estimate and its error bound, or
-    raises :class:`ConvergenceError` when the requested tolerance cannot
-    be met within ``max_subdivisions``.
+    truncation cutoff.  Returns a ``"quadrature"`` :class:`ProductIntegral`
+    carrying the reported error bound, or raises :class:`ConvergenceError`
+    when the requested tolerance cannot be met within ``max_subdivisions``.
     """
     # scipy.integrate is imported only when a quadrature runs
     from scipy.integrate import quad
@@ -174,7 +178,7 @@ def adaptive_integral(
             estimate=value,
             error_bound=error,
         )
-    return IntegralEstimate(value, error)
+    return ProductIntegral(value, "quadrature", error)
 
 
 def _group_poles(poles: Sequence[complex], tol: float) -> list[list]:
@@ -201,11 +205,12 @@ def _half_plane_sum(
     For tau >= 0 the contour closes in the lower half-plane; for tau == 0
     either closure works and the lower one is kept.  Poles within
     ``GROUP_FACTOR`` of the summed widths form one pole of higher
-    multiplicity.  The pole geometry does not depend on the lag, so an
-    array ``tau`` is grouped once and gives arrays; a float ``tau`` stays
-    on scalar ``cmath``, which is faster for the one-point integrals of
-    the noise kernels.  Returns the sum and the summed magnitudes of its
-    residue terms, which measure the cancellation between them.
+    multiplicity.  Two modes: the float ``tau`` 0.0 of
+    :func:`lorentz_product_integral` stays on plain complex arithmetic,
+    which is faster for the one-point integrals of the noise kernels; an
+    ndarray of lags (0-d included) is grouped once and gives arrays.
+    Returns the sum and the summed magnitudes of its residue terms, which
+    measure the cancellation between them.
     """
     group_tol = GROUP_FACTOR * float(sum(widths))
 
@@ -217,8 +222,8 @@ def _half_plane_sum(
     for k in widths:
         prefactor *= 2.0 * k
 
-    # None: a zero scalar lag has unit phase
-    exp = np.exp if isinstance(tau, np.ndarray) else None if tau == 0.0 else cmath.exp
+    # None: the scalar lag is zero and has unit phase
+    exp = np.exp if isinstance(tau, np.ndarray) else None
     all_groups = lower_groups + upper_groups
     total = 0.0 + 0.0j
     magnitude = 0.0
@@ -251,22 +256,7 @@ def _half_plane_sum(
     return -1j * total, magnitude
 
 
-@dataclass(frozen=True)
-class ProductIntegral:
-    """Value of a Lorentz-product integral plus how it was obtained."""
-
-    value: float
-    method: str  # "residue" or "quadrature"
-    error_estimate: float
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def lorentz_product_integral(
-    prod: LorentzProduct,
-    settings: QuadratureSettings = DEFAULT_QUADRATURE,
-) -> ProductIntegral:
+def lorentz_product_integral(prod: LorentzProduct) -> ProductIntegral:
     """Exact (1/2pi) * integral over the real axis of a Lorentzian product.
 
     The residue sum over one half-plane is exact for distinct poles and
@@ -274,30 +264,27 @@ def lorentz_product_integral(
     Its ``error_estimate`` is 16 eps times the summed magnitudes of the
     residue terms: it bounds the round-off of the cancellation between
     them, which grows as distinct poles approach.  When that bound misses
-    the tolerance of ``settings`` (:meth:`QuadratureSettings.accepts`, the
+    :data:`DEFAULT_QUADRATURE` (:meth:`QuadratureSettings.accepts`, the
     test the adaptive quadrature applies to its own result), the integral
-    falls back to the adaptive quadrature under a
-    :class:`DegeneratePolesWarning`, and ``method`` says so.
+    falls back to that quadrature under a :class:`DegeneratePolesWarning`
+    and returns its result.
     """
     centers = [line.center for line in prod.factors]
     widths = [line.hwhm for line in prod.factors]
     total, magnitude = _half_plane_sum(centers, widths, 0.0)
     value, error = total.real, _ROUNDOFF * magnitude
-    if settings.accepts(value, error):
+    if DEFAULT_QUADRATURE.accepts(value, error):
         return ProductIntegral(value, "residue", error)
     warnings.warn(
         "near-coincident poles: falling back to adaptive quadrature",
         DegeneratePolesWarning,
         stacklevel=2,
     )
-    est = adaptive_integral(lambda w: prod.value(w) / TWO_PI, settings)
-    return ProductIntegral(est.value, "quadrature", est.error)
+    return adaptive_integral(lambda w: prod.value(w) / TWO_PI)
 
 
 def lorentz_product_transform(
-    prod: LorentzProduct,
-    tau: float | np.ndarray,
-    settings: QuadratureSettings = DEFAULT_QUADRATURE,
+    prod: LorentzProduct, tau: float | np.ndarray
 ) -> complex | np.ndarray:
     """(1/2pi) * integral prod_i L(w - c_i, k_i) e^{-i w tau} dw for tau >= 0.
 
@@ -305,7 +292,7 @@ def lorentz_product_transform(
     a complex array of the same shape.  Exact residue evaluation with the
     poles grouped once per call, and the round-off bound of
     :func:`lorentz_product_integral` at every lag.  When the bound of any
-    lag misses the tolerance of ``settings``, the whole call falls back,
+    lag misses :data:`DEFAULT_QUADRATURE`, the whole call falls back,
     lag by lag, to the Fourier-weighted quadrature of
     :func:`lorentz_transform_quadrature` under a single warning.
     """
@@ -316,35 +303,32 @@ def lorentz_product_transform(
     widths = [line.hwhm for line in prod.factors]
     values, magnitudes = _half_plane_sum(centers, widths, lags)
     bounds = (_ROUNDOFF * magnitudes).ravel().tolist()
-    if not all(map(settings.accepts, np.abs(values).ravel().tolist(), bounds)):
+    if not all(map(DEFAULT_QUADRATURE.accepts, np.abs(values).ravel().tolist(), bounds)):
         warnings.warn(
             "near-coincident poles: transform falls back to adaptive quadrature",
             DegeneratePolesWarning,
             stacklevel=2,
         )
         values = np.array(
-            [lorentz_transform_quadrature(prod, float(t), settings) for t in lags.flat]
+            [lorentz_transform_quadrature(prod, float(t)) for t in lags.flat]
         ).reshape(lags.shape)
     return complex(values) if lags.ndim == 0 else values
 
 
-def lorentz_transform_quadrature(
-    prod: LorentzProduct,
-    tau: float,
-    settings: QuadratureSettings = DEFAULT_QUADRATURE,
-) -> complex:
+def lorentz_transform_quadrature(prod: LorentzProduct, tau: float) -> complex:
     """Numerical route for the transform, independent of the residue path.
 
     Splits the axis at zero and hands each oscillatory half-line integral
     to the Fourier-weighted adaptive quadrature (cycle summation with
-    extrapolation), so no truncation cutoff enters.
+    extrapolation), so no truncation cutoff enters.  Zero lag is the
+    :data:`DEFAULT_QUADRATURE` integral; other lags use absolute tolerance 1e-11.
     """
     from scipy.integrate import quad
 
     if tau < 0.0:
         raise ParameterError("transform lag must be nonnegative")
     if tau == 0.0:
-        return complex(adaptive_integral(lambda w: prod.value(w) / TWO_PI, settings).value)
+        return complex(adaptive_integral(lambda w: prod.value(w) / TWO_PI).value)
 
     def even_part(w: float) -> float:
         return prod.value(w) + prod.value(-w)
@@ -352,9 +336,8 @@ def lorentz_transform_quadrature(
     def odd_part(w: float) -> float:
         return prod.value(w) - prod.value(-w)
 
-    eps = max(settings.abs_tol, 1e-11)
-    re = quad(even_part, 0.0, np.inf, weight="cos", wvar=tau, epsabs=eps, limlst=200)[0]
-    im = quad(odd_part, 0.0, np.inf, weight="sin", wvar=tau, epsabs=eps, limlst=200)[0]
+    re = quad(even_part, 0.0, np.inf, weight="cos", wvar=tau, epsabs=1e-11, limlst=200)[0]
+    im = quad(odd_part, 0.0, np.inf, weight="sin", wvar=tau, epsabs=1e-11, limlst=200)[0]
     return complex(re, -im) / TWO_PI
 
 

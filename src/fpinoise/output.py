@@ -6,13 +6,14 @@ the run but is not itself a config file: it spells the seed
 ``sim.seed`` where config files use ``seed``, adds the derived
 ``source.gamma_l`` and ``source.regime``, and leaves out ``format`` and
 ``out_dir``.  Numbers are written in scientific notation with 9 significant
-digits; the JSON writer stores the same rounded values, making the two
-encodings numerically identical.
+digits; the JSON writer stores the same rounded values, and ``null``
+for a non-finite one (CSV: ``nan``, ``inf``), in strict JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,8 +27,8 @@ def format_float(x: float) -> str:
     return f"{float(x):.8e}"
 
 
-def _rounded(x: float) -> float:
-    return float(format_float(x))
+def _rounded(x: float) -> float | None:
+    return float(format_float(x)) if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def dataset_to_json(ds: FigureDataset) -> str:
             name: [_rounded(x) for x in col] for name, col in ds.series.items()
         },
     }
-    return json.dumps(payload, indent=1) + "\n"
+    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
 
 
 def write_dataset(ds: FigureDataset, out_dir: str | Path, fmt: str) -> Path:

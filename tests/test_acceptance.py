@@ -24,7 +24,6 @@ from fpinoise import (
     adaptive_integral,
     cavity_autocorr,
     cavity_fluctuation_spectrum,
-    default_tau_grid,
     dominant_oscillation_frequency,
     input_spectrum,
     mean_photon_number,
@@ -41,6 +40,7 @@ from fpinoise.cavity import (
     reflection_coefficient_hwhm,
     transmission_coefficient_hwhm,
 )
+from fpinoise.config import DEFAULT_TAU_GRID
 from fpinoise.figures import energy_split_fraction
 from fpinoise.fluctuations import (
     cavity_fluct_components,
@@ -62,7 +62,7 @@ FPI = FpiParams()
 SWEEP = (0.1, 1.5, 5.0, 50.0)
 SOURCES = {p: SourceParams(p_in=p) for p in SWEEP}
 OMEGA_GRID = np.linspace(-10.0, 15.0, 2001)
-TAU_GRID = default_tau_grid()
+TAU_GRID = DEFAULT_TAU_GRID.build()
 TIGHT = QuadratureSettings(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=400)
 
 

@@ -16,7 +16,6 @@ from fpinoise import (
     cavity_field_spectrum,
     cavity_fluctuation_spectrum,
     commutator_spectrum,
-    default_tau_grid,
     dominant_oscillation_frequency,
     lorentz_product_transform,
     mean_photon_number,
@@ -27,6 +26,7 @@ from fpinoise import (
 )
 from fpinoise.autocorr import _line_mode_transform
 from fpinoise.cavity import reflected_power, transmitted_power
+from fpinoise.config import DEFAULT_TAU_GRID
 from fpinoise.fluctuations import (
     SpectrumDecomposition,
     cavity_fluct_components,
@@ -35,7 +35,7 @@ from fpinoise.lorentz import product
 from fpinoise.source import source_linewidth
 from routes import CoverageError, autocorr_from_spectrum
 
-TAUS = default_tau_grid()
+TAUS = DEFAULT_TAU_GRID.build()
 
 
 def _mp_line_mode(mp, taus, g, k, d):

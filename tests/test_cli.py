@@ -27,7 +27,11 @@ from fpinoise.figures import (
     run_figure,
     sweep_product,
 )
-from fpinoise.output import write_dataset
+from fpinoise.output import FigureDataset, write_dataset
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 def _read_csv(path):
@@ -130,12 +134,40 @@ class TestWriters:
     def test_csv_json_numeric_identity(self, tmp_path):
         cfg = parse_config("grid.omega = -10:15:101")
         ds = run_figure("fig5a", cfg)
-        csv_path = write_dataset(ds, tmp_path, "csv")
-        json_path = write_dataset(ds, tmp_path, "json")
+        omega = ds.series["omega"]
+        gaps = FigureDataset(
+            ds.figure_id, {**ds.series, "gaps": np.where(omega > 0.0, np.nan, omega)}, ds.metadata
+        )
+        csv_path = write_dataset(gaps, tmp_path, "csv")
+        json_path = write_dataset(gaps, tmp_path, "json")
         _, header, rows = _read_csv(csv_path)
-        payload = json.loads(json_path.read_text())
+        payload = json.loads(json_path.read_text(), parse_constant=_reject_constant)
+        assert "nan" in csv_path.read_text()
         for j, name in enumerate(header):
-            assert rows[:, j].tolist() == payload["series"][name]
+            column = [None if np.isnan(x) else x for x in rows[:, j].tolist()]
+            assert column == payload["series"][name]
+        assert payload["series"]["gaps"].count(None) == np.count_nonzero(omega > 0.0)
+
+    @pytest.mark.filterwarnings("ignore::fpinoise.errors.EstimatorVarianceWarning")
+    @pytest.mark.parametrize("delta", ["5", "0"])
+    def test_every_product_writes_strict_json(self, tmp_path, delta):
+        # at delta = 0 the sweep's energy split is undefined (NaN)
+        cfg_file = tmp_path / "small.cfg"
+        cfg_file.write_text(
+            f"fpi.delta = {delta}\ngrid.omega = -10:15:41\ngrid.tau = 0:12:41\n"
+            "sim.n_steps = 16384\nsim.n_realizations = 2\nsim.burn_in = 1024\n"
+        )
+        out = tmp_path / "out"
+        for product in PRODUCTS:
+            argv = [product, "--config", str(cfg_file), "--out", str(out), "--format", "json"]
+            assert main(argv) == 0
+        paths = sorted(out.glob("*.json"))
+        names = {path.stem for path in paths}
+        assert names == set(PRODUCTS) | ({"energy_split"} if delta == "5" else set())
+        for path in paths:
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+        split = json.loads((out / "sweep.json").read_text())["series"]["energy_split"]
+        assert (None in split) == (delta == "0")
 
     def test_metadata_echo_complete(self, tmp_path):
         cfg = parse_config("source.p_in = 50")

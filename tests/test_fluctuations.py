@@ -178,6 +178,40 @@ class TestKernels:
             exact = mp_classical_kernel(mp, w, source_linewidth(src), fpi.kappa_t, delta)
             assert abs(value / exact - 1) <= 1e-12
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="narrow drive line near w = 0: the residue bound sends K0 to quadrature, "
+        "which misses the peaks; the closed-form K0 removes this",
+    )
+    @pytest.mark.parametrize(
+        "fpi, g, w",
+        (
+            # quadrature raises ConvergenceError (the CLI exits 3)
+            (FpiParams(kappa1=0.8, kappa2=0.8, delta=0.0), 1.9e-5, 5.3e-11),
+            # quadrature returns 2.6e-5 against 1.1e7, with a warning only
+            (FpiParams(delta=5e-7), 3e-7, 5e-12),
+        ),
+    )
+    def test_k0_of_a_narrow_line_near_zero_matches_mpmath(self, fpi, g, w):
+        mp = pytest.importorskip("mpmath")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneratePolesWarning)
+            value = classical_noise_kernel(w, fpi, SourceParams(p_in=0.0, gamma_max=g))
+        with mp.workdps(30):
+            exact = mp_classical_kernel(mp, w, g, fpi.kappa_t, fpi.delta)
+            assert abs(value / exact - 1) <= 1e-10
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="at critical coupling the reflected noise p_in^2 [L(w, 2 gamma_l) - B K2 + B^2 K0] "
+        "cancels terms of order 1/gamma_l down to round-off, which can be negative",
+    )
+    def test_reflected_noise_at_critical_coupling_is_nonnegative(self):
+        # kappa1 = kappa2 + kappa0, gamma_l = 1e-6: the CLI wrote -4.66e-10 at w = 0
+        fpi = FpiParams(kappa1=0.6, kappa2=0.5, kappa0=0.1, delta=0.0)
+        src = SourceParams(p_in=1.0, gamma_max=2e-6)
+        assert reflected_fluct_spectrum(np.array([0.0]), fpi, src).colored[0] >= 0.0
+
     def test_positive(self, fpi, rng):
         src = SourceParams(p_in=rng.uniform(0.1, 50.0))
         grid = rng.uniform(-12, 12, size=16)

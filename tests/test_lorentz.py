@@ -14,12 +14,12 @@ from fpinoise import (
     QuadratureSettings,
     SourceParams,
     adaptive_integral,
-    default_tau_grid,
     lorentz_product_integral,
     lorentz_product_transform,
     lorentz_value,
 )
 import fpinoise.lorentz as lorentz
+from fpinoise.config import DEFAULT_TAU_GRID
 from fpinoise.lorentz import TWO_PI, lorentz_transform_quadrature, map_over_omega, product
 from fpinoise.source import source_linewidth
 from routes import (
@@ -256,7 +256,7 @@ class TestAdaptiveIntegral:
     def test_lorentzian_normalization(self):
         est = adaptive_integral(lambda w: lorentz_value(w, Lorentzian(0.0, 1.0)) / TWO_PI)
         assert est.value == pytest.approx(1.0, abs=1e-10)
-        assert est.error < 1e-9
+        assert est.error_estimate < 1e-9
 
     def test_convolution_identity(self):
         est = adaptive_integral(
@@ -340,7 +340,7 @@ class TestProductTransform:
             lorentz_product_transform(product((0.0, 1.0)), np.array([0.0, 2.0, -1e-9, 3.0]))
 
     def test_array_of_lags_matches_per_lag_calls(self, fpi, sweep_sources):
-        taus = default_tau_grid()
+        taus = DEFAULT_TAU_GRID.build()
         shapes = [
             product((0.0, source_linewidth(src)), (fpi.delta, fpi.kappa_t))
             for src in sweep_sources
@@ -403,7 +403,7 @@ class TestEngineMatchesRoute:
         assert result.method == "quadrature"
         expected = adaptive_integral(lambda w: product_value_route(prod, w) / TWO_PI)
         assert _bits(result.value) == _bits(expected.value)
-        assert _bits(result.error_estimate) == _bits(expected.error)
+        assert _bits(result.error_estimate) == _bits(expected.error_estimate)
 
     def test_fallback_integrand_makes_no_numpy_arrays(self, monkeypatch):
         # a deterministic guard on the float fast path: a regression shows

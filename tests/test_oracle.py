@@ -226,6 +226,22 @@ class TestWelchEstimate:
         )
         assert run.returncode == 0, run.stderr
 
+    def test_residue_path_loads_neither_cmath_nor_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import sys\n"
+            "import fpinoise, fpinoise.cli\n"
+            "src = fpinoise.SourceParams(p_in=1.5)\n"
+            "fpinoise.classical_noise_kernel(0.3, fpinoise.FpiParams(), src)\n"
+            "assert 'cmath' not in sys.modules\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert run.returncode == 0, run.stderr
+
     @pytest.mark.parametrize(
         "call",
         [
