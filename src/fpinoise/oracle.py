@@ -11,22 +11,25 @@ integrated with the exact exponential propagator (input held piecewise
 constant over a step), and the intensity fluctuation spectrum of
 |a(t)|^2 is estimated by averaged periodograms (Welch, IEEE Trans.
 Audio Electroacoust. 15 (1967) 70): each realization's Hann-windowed,
-half-overlapping segments go through one batched real FFT, and the
-averaged one-sided |X|^2 is mirrored onto the two-sided axis.  Being a
+half-overlapping segments go through one batched real FFT, the sums of
+|X|^2 are added up over realizations, and the averaged one-sided |X|^2
+is mirrored onto the two-sided axis.  Being a
 classical simulation, it reproduces the classical self-beat terms only;
 the colored quantum contribution and the white floors are outside its
 reach by construction.
 
 Realizations run on a thread pool, one worker per usable CPU, each
 generated in chunks of ``CHUNK_LENGTH`` steps.  :func:`streamed_estimate`,
-behind the ``oracle`` product, keeps only |a|^2 of each run and its
-per-run means, so its peak memory is the (n_realizations, n_steps)
-float64 intensity array plus, per worker, one chunk's buffers and one
-n_steps row.  :func:`simulate` stacks the same realizations into a
-:class:`Trajectory`.  No bit depends on the worker count: realization r
-draws from its own (seed, r) stream, chunked draws and ``lfilter`` calls
-with carried state equal the one-shot calls, and the Welch rows are
-summed in row order.  The numpy and ``lfilter`` kernels release the GIL.
+behind the ``oracle`` product, reduces each realization in the worker
+that generates it to its means and its Welch sums, so it holds no
+ensemble array: its peak memory is, per worker, two float64 rows of
+n_steps and either one chunk's amplitudes or one batch of segment FFTs,
+plus one accumulator of L/2 + 1 bins for segments of L samples.
+:func:`simulate` stacks the same realizations into a :class:`Trajectory`.
+No bit depends on the worker count: realization r draws from its own
+(seed, r) stream, chunked draws and ``lfilter`` calls with carried state
+equal the one-shot calls, and the Welch sums are added up in row order.
+The numpy and ``lfilter`` kernels release the GIL.
 
 ``scipy.signal`` (for the ``lfilter`` recurrences) is imported only when
 a simulation first runs, so importing the package does not load it.
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,6 +55,11 @@ from .source import SourceParams, source_linewidth
 SEGMENT_LENGTH = 8192
 # steps generated at a time within a realization, after the burn-in chunk
 CHUNK_LENGTH = 2 * SEGMENT_LENGTH
+# Welch segments per batched FFT: glibc malloc reuses 8-segment buffers
+# (0.5 MB at the default segment length) from batch to batch, where it
+# handed whole-row buffers of 2 MB back to the OS after every realization
+# (about 60,000 more page faults per default oracle run, 2-core Linux)
+FFT_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -169,6 +178,7 @@ def _realization_chunks(fpi: FpiParams, src: SourceParams, cfg: SimConfig):
             kicks *= step_std / math.sqrt(2.0)
             # x[n] = decay * x[n-1] + kick[n]; the real decay filters both parts alike
             x, x_state = lfilter([1.0], [1.0, -decay], kicks, axis=0, zi=x_state)
+            del kicks  # a chunk holds only x and a while it is consumed
             x = x.view(np.complex128).ravel()
             # a[n] = cavity_decay * a[n-1] + drive_gain * x[n-1]
             a, a_state = lfilter([0.0, drive_gain], [1.0, -cavity_decay], x, zi=a_state)
@@ -197,52 +207,104 @@ def simulate(fpi: FpiParams, src: SourceParams, cfg: SimConfig) -> Trajectory:
     )
 
 
-def _fluct_spectrum(intensity: np.ndarray, dt: float, segment_length: int) -> SpectrumGrid:
-    """Welch estimate over the rows of an (n_realizations, n_steps) intensity.
+def _welch_layout(n_runs: int, n_steps: int, segment_length: int, stacklevel: int):
+    """Segments per row and periodic Hann window of the Welch estimate.
 
-    The ensemble mean is removed from each row.  A row's Hann-windowed
-    segments, overlapping by ``segment_length // 2`` samples, go through
-    one batched real FFT; the mean over segments of |X_k|^2 is added up
-    over rows, and the average is scaled to a density.  The intensity is
-    real, so |X_{L-k}| = |X_k| and the one-sided bins P_0..P_{L//2}
-    mirror onto the two-sided axis as [P_0..P_{L//2}, P_{(L+1)//2-1}..P_1]
-    (the fftfreq order), which fftshift puts in increasing frequency.
-    Equal, within rounding, to ``scipy.signal.welch`` with ``window="hann"``,
-    ``detrend=False``, ``return_onesided=False`` and ``scaling="density"``
-    averaged over rows.
+    Segments of ``min(segment_length, n_steps)`` samples overlap by half
+    a segment.  Fewer than 8 segments over the ensemble raise an
+    :class:`EstimatorVarianceWarning` naming the frame ``stacklevel``
+    calls above this one.
     """
     if segment_length < 2:
         raise ParameterError(f"segment_length must be at least 2, got {segment_length}")
-    mean = intensity.mean()
-    n_runs, n_steps = intensity.shape
     length = int(min(segment_length, n_steps))
-    hop = length - length // 2
-    count = (n_steps - length // 2) // hop
-    segments = n_runs * count
-    if segments < 8:
+    count = (n_steps - length // 2) // (length - length // 2)
+    if n_runs * count < 8:
         warnings.warn(
-            f"only {segments} periodogram segments; the estimate variance is high",
+            f"only {n_runs * count} periodogram segments; the estimate variance is high",
             EstimatorVarianceWarning,
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
     # periodic Hann window, as scipy.signal.get_window("hann", length)
     window = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, length + 1))[:-1]
+    return count, window
 
-    def row_power(r: int) -> np.ndarray:
-        spectra = np.fft.rfft(
-            sliding_window_view(intensity[r] - mean, length)[::hop][:count] * window, axis=1
-        )
-        return np.mean(spectra.real**2 + spectra.imag**2, axis=0)
 
+def _row_sums(row: np.ndarray, mean: float, window: np.ndarray, count: int):
+    """One row's Welch sums: (mean, sum of |X_k|^2, sum of X_k at k = 0, 1).
+
+    X is the real FFT of a Hann-windowed segment of ``row - mean``; the
+    sums run over the row's ``count`` half-overlapping segments, taken
+    ``FFT_BATCH`` at a time through one batched FFT.
+    """
+    length = window.size
+    segments = sliding_window_view(row - mean, length)[:: length - length // 2][:count]
+    squares = np.zeros(length // 2 + 1)
+    firsts = np.zeros(2, dtype=np.complex128)
+    for start in range(0, count, FFT_BATCH):
+        spectra = np.fft.rfft(segments[start : start + FFT_BATCH] * window, axis=1)
+        squares += np.sum(spectra.real**2 + spectra.imag**2, axis=0)
+        firsts += spectra[:, :2].sum(axis=0)
+    return mean, squares, firsts
+
+
+def _welch_density(rows, n_runs: int, window: np.ndarray, count: int, dt: float) -> SpectrumGrid:
+    """Welch density of the ensemble from each row's :func:`_row_sums`.
+
+    ``rows`` yields the sums in row order, and they are added up in that
+    order.  Each row's FFTs saw the row less its own mean m_r; with the
+    ensemble mean m removed instead, every segment's X gains
+    (m_r - m) W, W = rfft(window), which for the periodic Hann window is
+    nonzero at bins 0 and 1 only.  So those two bins gain
+    2 (m_r - m) Re(S1_r conj W) + count (m_r - m)^2 |W|^2 per row, S1_r
+    being the row's sum of X there, and the FFTs never see the large
+    mean.  The average over segments and rows is scaled to a density.
+    The intensity is real, so |X_{L-k}| = |X_k| and the one-sided bins
+    P_0..P_{L//2} mirror onto the two-sided axis as
+    [P_0..P_{L//2}, P_{(L+1)//2-1}..P_1] (the fftfreq order), which
+    fftshift puts in increasing frequency.
+    """
+    length = window.size
     power = np.zeros(length // 2 + 1)
-    for row in _thread_map(row_power, n_runs):  # summed in row order
-        power += row
-    power *= dt / (n_runs * np.sum(window**2))
+    means = np.empty(n_runs)
+    firsts = np.empty((n_runs, 2), dtype=np.complex128)
+    for r, (mean, squares, first) in enumerate(rows):
+        means[r] = mean
+        power += squares
+        firsts[r] = first
+    shift = (means - means.mean())[:, None]
+    gain = np.fft.rfft(window)[:2]
+    power[:2] += np.sum(
+        2.0 * shift * (firsts * gain.conjugate()).real + count * shift**2 * np.abs(gain) ** 2,
+        axis=0,
+    )
+    power *= dt / (n_runs * count * np.sum(window**2))
     two_sided = np.concatenate((power, power[(length + 1) // 2 - 1 : 0 : -1]))
     # the density in cyclic frequency equals the density in angular
     # frequency under the (1/2pi) dw measure, so only the axis is rescaled
     omegas = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(length, dt))
     return SpectrumGrid(omegas, np.fft.fftshift(two_sided))
+
+
+def _fluct_spectrum(intensity: np.ndarray, dt: float, segment_length: int) -> SpectrumGrid:
+    """Welch estimate over the rows of an (n_realizations, n_steps) intensity.
+
+    The ensemble mean is removed from each row, Hann-windowed segments
+    overlapping by ``segment_length // 2`` samples are averaged over
+    segments and rows, and the average is scaled to a density.  Equal,
+    within rounding, to ``scipy.signal.welch`` with ``window="hann"``,
+    ``detrend=False``, ``return_onesided=False`` and ``scaling="density"``
+    averaged over rows.  Rows run on the thread pool through the same
+    :func:`_row_sums` as :func:`streamed_estimate`.  A variance warning
+    names the caller of :func:`intensity_fluct_spectrum`.
+    """
+    n_runs, n_steps = intensity.shape
+    count, window = _welch_layout(n_runs, n_steps, segment_length, 3)
+
+    def row_sums(r: int):
+        return _row_sums(intensity[r], intensity[r].mean(), window, count)
+
+    return _welch_density(_thread_map(row_sums, n_runs), n_runs, window, count, dt)
 
 
 def intensity_fluct_spectrum(
@@ -285,28 +347,39 @@ def stationary_photon_number(traj: Trajectory) -> tuple[float, float]:
 def streamed_estimate(
     fpi: FpiParams, src: SourceParams, cfg: SimConfig
 ) -> tuple[SpectrumGrid, tuple[float, float], tuple[float, float]]:
-    """Cavity intensity spectrum, input power and photon number, one chunk at a time.
+    """Cavity intensity spectrum, input power and photon number, one realization at a time.
 
     Equal bit for bit to :func:`intensity_fluct_spectrum`,
     :func:`stationary_input_power` and :func:`stationary_photon_number`
-    applied to :func:`simulate`, but only |a|^2 of the whole ensemble is
-    kept: each chunk's complex amplitudes are dropped once their moduli
-    are recorded.
+    applied to :func:`simulate`, but no ensemble array is held: a worker
+    records one realization's |x|^2 and |a|^2 chunk by chunk into its own
+    two rows and reduces them to their means and the realization's Welch
+    sums (:func:`_row_sums`) before it takes the next realization.
     """
+    count, window = _welch_layout(cfg.n_realizations, cfg.n_steps, SEGMENT_LENGTH, 2)
     chunks = _realization_chunks(fpi, src, cfg)
-    intensity = np.empty((cfg.n_realizations, cfg.n_steps))
     power = np.empty(cfg.n_realizations)
     photons = np.empty(cfg.n_realizations)
 
-    def record(r: int) -> None:
-        drive = np.empty(cfg.n_steps)  # |x|, then |x|^2
+    # a worker's two rows serve all its realizations, as the FFT batches
+    # do, so the allocator does not hand them back to the OS each time
+    buffers = threading.local()
+
+    def record(r: int):
+        if not hasattr(buffers, "rows"):
+            buffers.rows = np.empty((2, cfg.n_steps))
+        drive, intensity = buffers.rows  # |x| then |x|^2, and |a| then |a|^2
         for offset, x, a in chunks(r):
             np.abs(x, out=drive[offset : offset + x.size])
-            np.abs(a, out=intensity[r, offset : offset + a.size])
+            np.abs(a, out=intensity[offset : offset + a.size])
         power[r] = np.mean(np.square(drive, out=drive))
-        photons[r] = np.square(intensity[r], out=intensity[r]).mean()
+        photons[r] = np.square(intensity, out=intensity).mean()
+        return intensity
 
-    for _ in _thread_map(record, cfg.n_realizations):
-        pass
-    spectrum = _fluct_spectrum(intensity, cfg.dt, SEGMENT_LENGTH)
+    def row_sums(r: int):
+        # the last chunk's amplitudes are dropped before the FFTs
+        return _row_sums(record(r), photons[r], window, count)
+
+    rows = _thread_map(row_sums, cfg.n_realizations)
+    spectrum = _welch_density(rows, cfg.n_realizations, window, count, cfg.dt)
     return spectrum, _mean_and_stderr(power), _mean_and_stderr(photons)

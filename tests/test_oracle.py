@@ -21,6 +21,7 @@ from fpinoise import (
     intensity_fluct_spectrum,
     mean_photon_number,
     oracle,
+    reflected_fluct_spectrum,
     simulate,
 )
 from fpinoise.errors import EstimatorVarianceWarning
@@ -28,6 +29,7 @@ from fpinoise.figures import oracle_product
 from fpinoise.fluctuations import cavity_fluct_components
 from fpinoise.oracle import (
     CHUNK_LENGTH,
+    SEGMENT_LENGTH,
     _fluct_spectrum,
     stationary_input_power,
     stationary_photon_number,
@@ -151,8 +153,36 @@ class TestIntensitySpectrum:
     def test_few_segments_warn(self, fpi):
         tiny = SimConfig(n_steps=16384, n_realizations=4, burn_in=4096)
         traj = simulate(fpi, SRC5, tiny)
-        with pytest.warns(EstimatorVarianceWarning):
+        with pytest.warns(EstimatorVarianceWarning) as record:
             intensity_fluct_spectrum(traj, tiny, segment_length=16384)
+        # the warning names the caller, not a helper inside the oracle
+        assert record[0].filename == __file__
+
+    def test_reflected_spectrum_matches_analytic(self):
+        # the reflected field x - sqrt(2 kappa1) a, away from critical
+        # coupling (kappa1 > kappa2 + kappa0).  a[n] is driven by x[n-1]
+        # held over the step, a zero-order hold that lags the drive by
+        # half a step, so a[n] pairs with the midpoint drive
+        # (x[n-1] + x[n]) / 2: second order in dt, where pairing it with
+        # x[n] or x[n-1] biases it by 1-3% at 2 <= |w| <= 10
+        fpi = FpiParams(kappa1=1.0, kappa2=0.3, kappa0=0.1, delta=2.0)
+        cfg = SimConfig(n_steps=65536, n_realizations=32, burn_in=8192)
+        traj = simulate(fpi, SRC5, cfg)
+        x, a = traj.input_amplitude, traj.cavity_amplitude
+        rows = np.abs(0.5 * (x[:, :-1] + x[:, 1:]) - np.sqrt(2.0 * fpi.kappa1) * a[:, 1:]) ** 2
+        spec = _fluct_spectrum(rows, cfg.dt, SEGMENT_LENGTH)
+        per_run = np.array(
+            [_fluct_spectrum(row[None], cfg.dt, SEGMENT_LENGTH).values for row in rows]
+        )
+        target = reflected_fluct_spectrum(spec.omegas, fpi, SRC5).colored
+        # relative error averaged over a band: the ensemble estimate
+        # against the standard error of the realizations' own estimates
+        for low, high in ((0.2, 1.0), (1.0, 2.0), (2.0, 4.0), (4.0, 10.0)):
+            band = (np.abs(spec.omegas) >= low) & (np.abs(spec.omegas) < high)
+            error = np.mean(spec.values[band] / target[band] - 1.0)
+            per_run_error = np.mean(per_run[:, band] / target[band] - 1.0, axis=1)
+            stderr = per_run_error.std(ddof=1) / np.sqrt(cfg.n_realizations)
+            assert abs(error) <= 4.0 * stderr, (low, high, error, stderr)
 
     def test_halving_dt_is_second_order(self, fpi):
         # a first-order step bias would scale like dt * fastest rate
@@ -270,7 +300,7 @@ class TestWelchEstimate:
 
 
 class TestStreamedOracle:
-    """The oracle product keeps only |a|^2 of the whole ensemble."""
+    """The oracle product holds no ensemble array, only each realization's Welch sums."""
 
     @staticmethod
     def _run(fpi, **sim):
@@ -293,25 +323,43 @@ class TestStreamedOracle:
     def test_few_segments_warn(self, fpi):
         with pytest.warns(EstimatorVarianceWarning):
             self._run(fpi, n_realizations=2)
+        cfg = SimConfig(n_steps=16384, n_realizations=2, burn_in=4096)
+        with pytest.warns(EstimatorVarianceWarning) as record:
+            streamed_estimate(fpi, SRC5, cfg)
+        # the warning names the caller, not a helper inside the oracle
+        assert record[0].filename == __file__
 
-    def test_memory_grows_by_the_intensity_rows_only(self, fpi, monkeypatch):
-        # doubling R from 16 adds 16 float64 rows of |a|^2 (n_steps) and
-        # nothing else: the periodograms are summed into one accumulator,
-        # and the whole complex ensemble is never held at once.  The
-        # scipy.signal import of the first simulation is not counted: the
-        # routes module imported above has loaded it already.
+    @staticmethod
+    def _peak_bytes(fpi, cfg):
+        # the scipy.signal import of the first simulation is not counted:
+        # the routes module imported above has loaded it already
+        tracemalloc.start()
+        try:
+            streamed_estimate(fpi, SRC5, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_grows_by_one_spectrum_row_per_realization_at_most(self, fpi, monkeypatch):
+        # doubling R from 16 adds less than 16 rows of L/2 + 1 float64
+        # bins: a realization is reduced to its Welch sums in the worker
+        # that generates it, no (R, n_steps) array is held, and the sums
+        # of |X|^2 go into one accumulator as they arrive
         def peak_bytes(n_realizations):
-            tracemalloc.start()
-            try:
-                self._run(fpi, n_realizations=n_realizations)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            cfg = SimConfig(n_steps=16384, n_realizations=n_realizations, burn_in=4096)
+            return self._peak_bytes(fpi, cfg)
 
         # two workers on any machine, so no extra worker buffers enter the difference
         monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 2)
         growth = peak_bytes(32) - peak_bytes(16)
-        assert growth <= 1.25 * 16 * 16384 * 8
+        assert growth <= 1.25 * 16 * (SEGMENT_LENGTH // 2 + 1) * 8
+
+    def test_default_config_peak_memory(self, fpi, monkeypatch):
+        # 48 realizations of 131,072 steps: a whole-ensemble |a|^2 array
+        # alone would take 50 MB; two workers' rows, chunks and segment
+        # FFTs take under 20 MB
+        monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 2)
+        assert self._peak_bytes(fpi, SimConfig()) < 20e6
 
     def test_a_second_worker_adds_one_workers_buffers_at_most(self, fpi, monkeypatch):
         # a worker holds one chunk's kicks, drive and cavity amplitudes
