@@ -5,6 +5,12 @@ The ``fig*`` ids reproduce the bundled reference study: mirror rates
 p_in/kappa_l in {0.1, 1.5, 5, 50}, everything in kappa_l units.  Each
 builder returns a :class:`~fpinoise.output.FigureDataset` whose
 metadata echoes the full configuration.
+
+Figures 4-9 are views of the ``spectra``, ``fluct`` and ``autocorr``
+products, which compute each quantity once: a view takes its product
+at one sweep power (panels a-d) or at each of them, and renames or
+selects the product's columns and metadata; fig8 also divides by the
+zero-lag value.  Only fig3a/b compute their own curves.
 """
 
 from __future__ import annotations
@@ -33,23 +39,13 @@ from .cavity import (
 )
 from .config import SWEEP_POWERS, RunConfig, config_echo
 from .errors import ConvergenceError, ParameterError
-from .fluctuations import (
-    cavity_fluct_components,
-    cavity_fluctuation_spectrum,
-    fluct_spectra,
-    reflected_fluct_spectrum,
-    transmitted_fluct_spectrum,
-)
+from .fluctuations import cavity_fluct_components, fluct_spectra
 from .lorentz import KAPPA_L_RAD_PER_SEC
 from .oracle import streamed_estimate
 from .output import FigureDataset
 from .source import SourceParams, input_spectrum, source_linewidth, source_regime
 
 _PANEL_POWER = dict(zip("abcd", SWEEP_POWERS))
-
-
-def _power_tag(p: float) -> str:
-    return f"{p:g}"
 
 
 def base_metadata(cfg: RunConfig, **extra) -> dict[str, object]:
@@ -153,107 +149,77 @@ def _fig3b(cfg: RunConfig) -> FigureDataset:
     )
 
 
-def _fig4(cfg: RunConfig, panel: str) -> FigureDataset:
-    p_in = _PANEL_POWER[panel]
-    src = _sweep_source(cfg, p_in)
-    omegas = cfg.omega_grid.build()
+def _product_at(cfg: RunConfig, product: str, p_in: float) -> FigureDataset:
+    return PRODUCT_BUILDERS[product](replace(cfg, source=_sweep_source(cfg, p_in)))
+
+
+def _panel(figure_id: str, product: str, columns: dict, meta: dict, cfg: RunConfig):
+    """The product at the drive power of panel a-d, its columns renamed."""
+    p_in = _PANEL_POWER[figure_id[-1]]
+    ds = _product_at(cfg, product, p_in)
     return FigureDataset(
-        f"fig4{panel}",
-        {
-            "omega": omegas,
-            "reflected": reflected_spectrum(omegas, cfg.fpi, src),
-            "transmitted": transmitted_spectrum(omegas, cfg.fpi, src),
-            "input": input_spectrum(omegas, src),
-        },
-        base_metadata(cfg, p_in=p_in, gamma_l=source_linewidth(src)),
+        figure_id,
+        {key: ds.series[name] for key, name in columns.items()},
+        base_metadata(cfg, p_in=p_in, **{k: ds.metadata[name] for k, name in meta.items()}),
     )
 
 
-def _fig5a(cfg: RunConfig) -> FigureDataset:
-    omegas = cfg.omega_grid.build()
-    series: dict[str, np.ndarray] = {"omega": omegas}
+def _sweep(figure_id: str, product: str, columns: dict, meta: dict, cfg: RunConfig):
+    """The product's grid, then its columns and metadata at each sweep power, tagged."""
+    series: dict[str, np.ndarray] = {}
+    extra: dict[str, object] = {}
     for p in SWEEP_POWERS:
-        src = _sweep_source(cfg, p)
-        series[f"n_{_power_tag(p)}"] = cavity_field_spectrum(omegas, cfg.fpi, src)
-    return FigureDataset("fig5a", series, base_metadata(cfg))
+        ds = _product_at(cfg, product, p)
+        grid = next(iter(ds.series))
+        series[grid] = ds.series[grid]
+        tag = f"{p:g}"
+        series.update({f"{key}_{tag}": ds.series[name] for key, name in columns.items()})
+        extra.update({f"{key}_{tag}": ds.metadata[name] for key, name in meta.items()})
+    return FigureDataset(figure_id, series, base_metadata(cfg, **extra))
 
 
-def _fig5b(cfg: RunConfig) -> FigureDataset:
-    omegas = cfg.omega_grid.build()
-    series: dict[str, np.ndarray] = {"omega": omegas}
-    for p in SWEEP_POWERS:
-        spec = cavity_fluctuation_spectrum(omegas, cfg.fpi, _sweep_source(cfg, p))
-        series[f"d2n_{_power_tag(p)}"] = spec.total
-    return FigureDataset("fig5b", series, base_metadata(cfg))
-
-
-def _fig6(cfg: RunConfig, panel: str) -> FigureDataset:
-    p_in = _PANEL_POWER[panel]
-    omegas = cfg.omega_grid.build()
-    spec = cavity_fluctuation_spectrum(omegas, cfg.fpi, _sweep_source(cfg, p_in))
+def _fig8(figure_id: str, cfg: RunConfig) -> FigureDataset:
+    p_in = _PANEL_POWER[figure_id[-1]]
+    ds = _product_at(cfg, "autocorr", p_in)
+    norm = ds.series["cavity_total"][0]
+    norm = norm if norm > 0.0 else 1.0
+    parts = {part: ds.series[f"cavity_{part}"] / norm for part in ("total", "classical", "quantum")}
     return FigureDataset(
-        f"fig6{panel}",
-        {
-            "omega": omegas,
-            "total": spec.total,
-            "classical": spec.classical,
-            "quantum": spec.quantum,
-        },
-        base_metadata(cfg, p_in=p_in),
-    )
-
-
-def _fig7(cfg: RunConfig, which: str) -> FigureDataset:
-    omegas = cfg.omega_grid.build()
-    series: dict[str, np.ndarray] = {"omega": omegas}
-    floors: dict[str, object] = {}
-    build = transmitted_fluct_spectrum if which == "a" else reflected_fluct_spectrum
-    label = "d2pt" if which == "a" else "d2pr"
-    for p in SWEEP_POWERS:
-        spec = build(omegas, cfg.fpi, _sweep_source(cfg, p))
-        series[f"{label}_{_power_tag(p)}"] = spec.total
-        floors[f"white_floor_{_power_tag(p)}"] = spec.white_floor
-    return FigureDataset(f"fig7{which}", series, base_metadata(cfg, **floors))
-
-
-def _fig8(cfg: RunConfig, panel: str) -> FigureDataset:
-    p_in = _PANEL_POWER[panel]
-    taus = cfg.tau_grid.build()
-    ac = cavity_autocorr(cfg.fpi, _sweep_source(cfg, p_in), taus)
-    norm = ac.values[0] if ac.values[0] > 0.0 else 1.0
-    return FigureDataset(
-        f"fig8{panel}",
-        {
-            "tau": taus,
-            "total": ac.values / norm,
-            "classical": ac.classical / norm,
-            "quantum": ac.quantum / norm,
-        },
+        figure_id,
+        {"tau": ds.series["tau"], **parts},
         base_metadata(cfg, p_in=p_in, normalization=float(norm)),
     )
 
 
-def _fig9(cfg: RunConfig) -> FigureDataset:
-    taus = cfg.tau_grid.build()
-    series: dict[str, np.ndarray] = {"tau": taus}
-    weights: dict[str, object] = {}
-    for p in SWEEP_POWERS:
-        ac = transmitted_autocorr(cfg.fpi, _sweep_source(cfg, p), taus, normalized=True)
-        series[f"d2pt_norm_{_power_tag(p)}"] = ac.values
-        weights[f"delta_weight_{_power_tag(p)}"] = ac.delta_weight
-    return FigureDataset("fig9", series, base_metadata(cfg, **weights))
+def _panels(build, figure: str, *view) -> dict:
+    return {figure + panel: partial(build, figure + panel, *view) for panel in _PANEL_POWER}
 
 
+_FIG4 = {"omega": "omega", "reflected": "reflected", "transmitted": "transmitted", "input": "input"}
+_FIG6 = {
+    "omega": "omega", "total": "d2n_total", "classical": "d2n_classical", "quantum": "d2n_quantum"
+}
+
+# a view names its product, {column: product column} and {metadata key:
+# product metadata key}
 _FIGURES = {
     "fig3a": _fig3a,
     "fig3b": _fig3b,
-    **{f"fig4{panel}": partial(_fig4, panel=panel) for panel in "abcd"},
-    "fig5a": _fig5a,
-    "fig5b": _fig5b,
-    **{f"fig6{panel}": partial(_fig6, panel=panel) for panel in "abcd"},
-    **{f"fig7{which}": partial(_fig7, which=which) for which in "ab"},
-    **{f"fig8{panel}": partial(_fig8, panel=panel) for panel in "abcd"},
-    "fig9": _fig9,
+    **_panels(_panel, "fig4", "spectra", _FIG4, {"gamma_l": "source.gamma_l"}),
+    "fig5a": partial(_sweep, "fig5a", "spectra", {"n": "cavity"}, {}),
+    "fig5b": partial(_sweep, "fig5b", "fluct", {"d2n": "d2n_total"}, {}),
+    **_panels(_panel, "fig6", "fluct", _FIG6, {}),
+    "fig7a": partial(
+        _sweep, "fig7a", "fluct", {"d2pt": "d2pt_total"}, {"white_floor": "d2pt_white_floor"}
+    ),
+    "fig7b": partial(
+        _sweep, "fig7b", "fluct", {"d2pr": "d2pr_total"}, {"white_floor": "d2pr_white_floor"}
+    ),
+    **_panels(_fig8, "fig8"),
+    "fig9": partial(
+        _sweep, "fig9", "autocorr", {"d2pt_norm": "transmitted_norm"},
+        {"delta_weight": "transmitted_delta_weight"},
+    ),
 }
 FIGURE_IDS = tuple(_FIGURES)
 

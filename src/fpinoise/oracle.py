@@ -311,23 +311,18 @@ def intensity_fluct_spectrum(
     traj: Trajectory,
     cfg: SimConfig,
     segment_length: int = SEGMENT_LENGTH,
-    signal: str = "cavity",
 ) -> SpectrumGrid:
-    """Averaged-periodogram estimate of the intensity fluctuation spectrum.
+    """Averaged-periodogram estimate of the cavity intensity fluctuation spectrum.
 
     Welch estimate of the two-sided spectral density of
-    I(t) = |amplitude|^2 - <|amplitude|^2>: the stationary mean is
+    I(t) = |a|^2 - <|a|^2> of the cavity amplitude a: the stationary mean is
     removed once over the whole ensemble (removing it per segment would
     notch the spectrum at zero frequency), then Hann-windowed segments
     with 50% overlap are averaged over segments and realizations.
     Returned in angular frequency with the (1/2pi) * integral dw
     normalization, directly comparable to the analytic classical terms.
-    ``signal`` selects the cavity (default) or the input amplitude.
     """
-    if signal not in ("cavity", "input"):
-        raise ParameterError("signal must be 'cavity' or 'input'")
-    amp = traj.cavity_amplitude if signal == "cavity" else traj.input_amplitude
-    return _fluct_spectrum(np.abs(amp) ** 2, cfg.dt, segment_length)
+    return _fluct_spectrum(np.abs(traj.cavity_amplitude) ** 2, cfg.dt, segment_length)
 
 
 def _mean_and_stderr(per_run: np.ndarray) -> tuple[float, float]:

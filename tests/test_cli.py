@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from fpinoise.config import PRODUCTS, RunConfig, parse_config
 from fpinoise.figures import (
     FIGURE_IDS,
     PRODUCT_BUILDERS,
+    base_metadata,
     energy_split_fraction,
     energy_split_report,
     run_figure,
@@ -109,6 +111,105 @@ class TestFigureDatasets:
         n = mean_photon_number(cfg.fpi, src)
         assert ds.metadata["normalization"] == pytest.approx(n * (n + 1), rel=1e-10)
         assert ds.series["total"][0] == pytest.approx(1.0, rel=1e-12)
+
+
+# the figure presets spelled out as views of the CLI products: for each
+# preset, {preset column: (product, p_in, product column)} and
+# {preset metadata key: (product, p_in, product metadata key)}
+_POWERS = (0.1, 1.5, 5.0, 50.0)
+_PANEL_VIEWS = {
+    "fig4": (
+        "spectra",
+        {"omega": "omega", "reflected": "reflected", "transmitted": "transmitted", "input": "input"},
+        {"gamma_l": "source.gamma_l"},
+    ),
+    "fig6": (
+        "fluct",
+        {"omega": "omega", "total": "d2n_total", "classical": "d2n_classical",
+         "quantum": "d2n_quantum"},
+        {},
+    ),
+}
+_SWEEP_VIEWS = {
+    "fig5a": ("spectra", "omega", "n", "cavity", {}),
+    "fig5b": ("fluct", "omega", "d2n", "d2n_total", {}),
+    "fig7a": ("fluct", "omega", "d2pt", "d2pt_total", {"white_floor": "d2pt_white_floor"}),
+    "fig7b": ("fluct", "omega", "d2pr", "d2pr_total", {"white_floor": "d2pr_white_floor"}),
+    "fig9": (
+        "autocorr", "tau", "d2pt_norm", "transmitted_norm",
+        {"delta_weight": "transmitted_delta_weight"},
+    ),
+}
+
+
+def _preset_views():
+    views = {}
+    for figure, (product, columns, meta) in _PANEL_VIEWS.items():
+        for panel, p in zip("abcd", _POWERS):
+            views[figure + panel] = (
+                {key: (product, p, name) for key, name in columns.items()},
+                {key: (product, p, name) for key, name in meta.items()},
+                {"p_in": p},
+            )
+    for figure, (product, grid, label, column, meta) in _SWEEP_VIEWS.items():
+        views[figure] = (
+            {grid: (product, _POWERS[0], grid)}
+            | {f"{label}_{p:g}": (product, p, column) for p in _POWERS},
+            {f"{key}_{p:g}": (product, p, name) for p in _POWERS for key, name in meta.items()},
+            {},
+        )
+    return views
+
+
+class TestPresetViews:
+    """Figures 4-9 carry the CLI products' numbers at the sweep powers, bit for bit."""
+
+    CFG = parse_config(
+        "grid.omega = -10:15:201\ngrid.tau = 0:12:101\nfpi.delta = -3\n"
+        "source.gamma_max = 1.2\nfpi.kappa0 = 0"
+    )
+    VIEWS = _preset_views()
+
+    @pytest.fixture(scope="class")
+    def product_at(self):
+        built = {}
+
+        def build(product, p_in):
+            if (product, p_in) not in built:
+                src = SourceParams(p_in=p_in, gamma_max=self.CFG.source.gamma_max)
+                built[product, p_in] = PRODUCT_BUILDERS[product](replace(self.CFG, source=src))
+            return built[product, p_in]
+
+        return build
+
+    def test_every_preset_but_fig3_is_built_from_a_product(self):
+        views = set(self.VIEWS) | {f"fig8{panel}" for panel in "abcd"}
+        assert set(FIGURE_IDS) - views == {"fig3a", "fig3b"}
+
+    @pytest.mark.parametrize("figure_id", list(_preset_views()))
+    def test_preset_equals_its_products(self, figure_id, product_at):
+        columns, meta, panel = self.VIEWS[figure_id]
+        ds = run_figure(figure_id, self.CFG)
+        assert list(ds.series) == list(columns)
+        for key, (product, p_in, name) in columns.items():
+            assert np.array_equal(ds.series[key], product_at(product, p_in).series[name]), key
+        # the echo is that of the run configuration, not of the sweep source
+        assert ds.metadata == base_metadata(self.CFG, **panel) | {
+            key: product_at(product, p_in).metadata[name]
+            for key, (product, p_in, name) in meta.items()
+        }
+
+    @pytest.mark.parametrize("panel, p_in", zip("abcd", _POWERS))
+    def test_fig8_is_the_cavity_autocorr_over_its_zero_lag_value(self, panel, p_in, product_at):
+        ds = run_figure(f"fig8{panel}", self.CFG)
+        ac = product_at("autocorr", p_in)
+        norm = ac.series["cavity_total"][0]
+        assert norm > 0.0
+        assert list(ds.series) == ["tau", "total", "classical", "quantum"]
+        assert np.array_equal(ds.series["tau"], ac.series["tau"])
+        for part in ("total", "classical", "quantum"):
+            assert np.array_equal(ds.series[part], ac.series[f"cavity_{part}"] / norm), part
+        assert ds.metadata == base_metadata(self.CFG, p_in=p_in, normalization=float(norm))
 
 
 class TestEnergySplit:

@@ -143,7 +143,7 @@ class TestIntensitySpectrum:
     def test_input_spectrum_matches_drive_selfbeat(self, fpi):
         cfg = SimConfig()
         traj = simulate(fpi, SRC5, cfg)
-        spec = intensity_fluct_spectrum(traj, cfg, signal="input")
+        spec = _fluct_spectrum(np.abs(traj.input_amplitude) ** 2, cfg.dt, SEGMENT_LENGTH)
         mask = np.abs(spec.omegas) <= 10.0
         g = source_linewidth(SRC5)
         target = SRC5.p_in**2 * _lorentz(spec.omegas[mask], 2.0 * g)
@@ -364,15 +364,11 @@ class TestStreamedOracle:
     def test_a_second_worker_adds_one_workers_buffers_at_most(self, fpi, monkeypatch):
         # a worker holds one chunk's kicks, drive and cavity amplitudes
         # (48 bytes a step) and one float64 row of n_steps, or less than
-        # that in the Welch stage
+        # that in the Welch stage; streamed_estimate owns those buffers
         def peak_bytes(workers):
             monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: workers)
-            tracemalloc.start()
-            try:
-                self._run(fpi, n_realizations=16)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            cfg = SimConfig(n_steps=16384, n_realizations=16, burn_in=4096)
+            return self._peak_bytes(fpi, cfg)
 
         one_worker = CHUNK_LENGTH * 48 + 16384 * 8
         assert peak_bytes(2) - peak_bytes(1) <= 1.25 * one_worker
