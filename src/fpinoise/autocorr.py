@@ -17,8 +17,9 @@ with pr1 the lag transform of the reflected field spectrum.  The white
 floors never enter the smooth values; they are carried as an explicit
 delta-function weight at zero lag.  Lags may be scalars or arrays: both
 g1 and pr1 are closed forms in the two poles of the drive line times the
-mode response, and the zero-lag normalisations use the closed forms
-|2 kappa2 g1(0)|^2 = p_t^2 and |pr1(0)|^2 = p_r^2.
+mode response.  The zero-lag values |2 kappa2 g1(0)|^2 = p_t^2 and
+|pr1(0)|^2 = p_r^2 are the squared delta weights, which normalise the
+reflected report here and ``transmitted_norm`` in the ``autocorr`` product.
 """
 
 from __future__ import annotations
@@ -147,22 +148,15 @@ def cavity_autocorr(fpi: FpiParams, src: SourceParams, taus) -> AutoCorrelation:
     )
 
 
-def transmitted_autocorr(
-    fpi: FpiParams, src: SourceParams, taus, normalized: bool = False
-) -> AutoCorrelation:
+def transmitted_autocorr(fpi: FpiParams, src: SourceParams, taus) -> AutoCorrelation:
     """Transmitted-power autocorrelation (colored part only).
 
-    The white quantum floor p_t appears solely as ``delta_weight``.
-    With ``normalized=True`` the values are divided by the colored
-    variance |2 kappa2 g1(0)|^2 = p_t^2 (the zero-lag value), making
-    values[0] equal one.
+    The white quantum floor p_t appears solely as ``delta_weight``; the
+    zero-lag value is the colored variance |2 kappa2 g1(0)|^2 = p_t^2.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     values = (2.0 * fpi.kappa2) ** 2 * np.abs(cavity_amplitude_correlation(taus, fpi, src)) ** 2
-    p_t = transmitted_power(fpi, src)
-    if normalized and p_t**2 > 0.0:
-        values = values / p_t**2
-    return AutoCorrelation(taus=taus, values=values, delta_weight=p_t)
+    return AutoCorrelation(taus=taus, values=values, delta_weight=transmitted_power(fpi, src))
 
 
 def reflected_autocorr(

@@ -73,11 +73,6 @@ class FpiParams:
         """
         return 2.0 * self.kappa1 * (self.kappa2 + self.kappa0) / self.kappa_t
 
-    @property
-    def mode_line(self) -> Lorentzian:
-        """The bare mode response line, centered at the detuning."""
-        return Lorentzian(self.delta, self.kappa_t)
-
 
 @dataclass(frozen=True)
 class SpectrumGrid:
@@ -105,7 +100,7 @@ def commutator_spectrum(omega, fpi: FpiParams):
     Unit-normalized under (1/2pi) * integral dw; in free space the same
     density is flat and equal to one.
     """
-    return lorentz_value(omega, fpi.mode_line)
+    return lorentz_value(omega, Lorentzian(fpi.delta, fpi.kappa_t))
 
 
 def cavity_field_spectrum(omega, fpi: FpiParams, src: SourceParams):

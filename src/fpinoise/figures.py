@@ -40,7 +40,7 @@ from .cavity import (
 from .config import SWEEP_POWERS, RunConfig, config_echo
 from .errors import ConvergenceError, ParameterError
 from .fluctuations import cavity_fluct_components, fluct_spectra
-from .lorentz import KAPPA_L_RAD_PER_SEC
+from .lorentz import KAPPA_L_RAD_PER_SEC, TWO_PI
 from .oracle import streamed_estimate
 from .output import FigureDataset
 from .source import SourceParams, input_spectrum, source_linewidth, source_regime
@@ -82,7 +82,7 @@ def energy_split_fraction(fpi: FpiParams, src: SourceParams) -> float:
         return 0.0
 
     def density(w: float) -> float:
-        return cavity_field_spectrum(w, fpi, src) / (2.0 * math.pi)
+        return cavity_field_spectrum(w, fpi, src) / TWO_PI
 
     cut = -40.0 * (fpi.kappa_t + source_linewidth(src) + abs(fpi.delta))
     tail = quad(density, -np.inf, cut, full_output=True)
@@ -281,7 +281,7 @@ def autocorr_product(cfg: RunConfig) -> FigureDataset:
     taus = cfg.tau_grid.build()
     cav = cavity_autocorr(cfg.fpi, cfg.source, taus)
     tr = transmitted_autocorr(cfg.fpi, cfg.source, taus)
-    tr_norm = transmitted_autocorr(cfg.fpi, cfg.source, taus, normalized=True)
+    variance = tr.delta_weight**2  # the zero-lag value p_t^2
     rf, fit = reflected_autocorr(cfg.fpi, cfg.source, taus)
     return FigureDataset(
         "autocorr",
@@ -291,7 +291,7 @@ def autocorr_product(cfg: RunConfig) -> FigureDataset:
             "cavity_classical": cav.classical,
             "cavity_quantum": cav.quantum,
             "transmitted": tr.values,
-            "transmitted_norm": tr_norm.values,
+            "transmitted_norm": tr.values / variance if variance > 0.0 else tr.values,
             "reflected": rf.values,
         },
         base_metadata(

@@ -49,6 +49,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cavity import FpiParams, SpectrumGrid
 from .errors import ConfigError, EstimatorVarianceWarning, ParameterError
+from .lorentz import TWO_PI
 from .source import SourceParams, source_linewidth
 
 # samples per periodogram segment of the Welch estimate
@@ -160,7 +161,7 @@ def _realization_chunks(fpi: FpiParams, src: SourceParams, cfg: SimConfig):
     lam = complex(fpi.kappa_t, fpi.delta)
 
     decay = math.exp(-g * cfg.dt)
-    step_std = math.sqrt(src.p_in * (1.0 - decay * decay)) if src.p_in > 0 else 0.0
+    step_std = math.sqrt(src.p_in * (1.0 - decay * decay))
     cavity_decay = np.exp(-lam * cfg.dt)
     drive_gain = math.sqrt(2.0 * fpi.kappa1) * (1.0 - cavity_decay) / lam
     sizes = [cfg.burn_in] if cfg.burn_in else []
@@ -282,7 +283,7 @@ def _welch_density(rows, n_runs: int, window: np.ndarray, count: int, dt: float)
     two_sided = np.concatenate((power, power[(length + 1) // 2 - 1 : 0 : -1]))
     # the density in cyclic frequency equals the density in angular
     # frequency under the (1/2pi) dw measure, so only the axis is rescaled
-    omegas = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(length, dt))
+    omegas = TWO_PI * np.fft.fftshift(np.fft.fftfreq(length, dt))
     return SpectrumGrid(omegas, np.fft.fftshift(two_sided))
 
 
@@ -307,22 +308,19 @@ def _fluct_spectrum(intensity: np.ndarray, dt: float, segment_length: int) -> Sp
     return _welch_density(_thread_map(row_sums, n_runs), n_runs, window, count, dt)
 
 
-def intensity_fluct_spectrum(
-    traj: Trajectory,
-    cfg: SimConfig,
-    segment_length: int = SEGMENT_LENGTH,
-) -> SpectrumGrid:
+def intensity_fluct_spectrum(traj: Trajectory, cfg: SimConfig) -> SpectrumGrid:
     """Averaged-periodogram estimate of the cavity intensity fluctuation spectrum.
 
     Welch estimate of the two-sided spectral density of
     I(t) = |a|^2 - <|a|^2> of the cavity amplitude a: the stationary mean is
     removed once over the whole ensemble (removing it per segment would
     notch the spectrum at zero frequency), then Hann-windowed segments
-    with 50% overlap are averaged over segments and realizations.
-    Returned in angular frequency with the (1/2pi) * integral dw
-    normalization, directly comparable to the analytic classical terms.
+    of ``SEGMENT_LENGTH`` samples with 50% overlap are averaged over
+    segments and realizations.  Returned in angular frequency with the
+    (1/2pi) * integral dw normalization, directly comparable to the
+    analytic classical terms.
     """
-    return _fluct_spectrum(np.abs(traj.cavity_amplitude) ** 2, cfg.dt, segment_length)
+    return _fluct_spectrum(np.abs(traj.cavity_amplitude) ** 2, cfg.dt, SEGMENT_LENGTH)
 
 
 def _mean_and_stderr(per_run: np.ndarray) -> tuple[float, float]:

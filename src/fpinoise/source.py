@@ -18,8 +18,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import AdiabaticityWarning, ParameterError
 from .lorentz import Lorentzian, lorentz_value
 
@@ -62,20 +60,13 @@ def source_linewidth(src: SourceParams) -> float:
     return src.gamma_max / (1.0 + src.p_in / KAPPA_L)
 
 
-def input_line(src: SourceParams) -> Lorentzian:
-    """The output spectral line as a :class:`Lorentzian` centered at zero."""
-    return Lorentzian(0.0, source_linewidth(src))
-
-
 def input_spectrum(omega, src: SourceParams):
     """Spectral power density p_in * L(omega, gamma_l) of the source output.
 
-    Integrates back to p_in under (1/2pi) * integral d omega.
+    Integrates back to p_in under (1/2pi) * integral d omega; a dark
+    source gives zeros of the shape of ``omega`` (a float for a scalar).
     """
-    if src.p_in == 0.0:
-        zeros = np.zeros_like(np.asarray(omega, dtype=float))
-        return float(zeros) if zeros.ndim == 0 else zeros
-    return src.p_in * lorentz_value(omega, input_line(src))
+    return src.p_in * lorentz_value(omega, Lorentzian(0.0, source_linewidth(src)))
 
 
 def source_regime(src: SourceParams) -> str:
@@ -106,27 +97,25 @@ class SourceMicroParams:
         Polarization decay rate (full), > 0.  Adiabatic elimination of
         the polarization needs kappa_l << gamma_perp / 2; a ratio above
         0.1 triggers :class:`AdiabaticityWarning`.
-    level_factor
-        Dipole-coupling level factor, 1/2 for a two-level transition.
 
-    The threshold inversion ``n_threshold`` and the below-threshold
-    margin ``eta`` derive from these rates; an inversion at or above
-    threshold (eta <= 0) is outside this model's validity and rejected.
+    Each emitter is a two-level transition (level factor 1/2).  The
+    threshold inversion ``n_threshold`` and the below-threshold margin
+    ``eta`` derive from these rates; an inversion at or above threshold
+    (eta <= 0) is outside this model's validity and rejected.
     """
 
     n_emitters: float
     n_excited: float
     rabi: float
     gamma_perp: float
-    level_factor: float = 0.5
 
     def __post_init__(self):
         if not self.n_emitters > 0.0:
             raise ParameterError("n_emitters must be positive")
         if not 0.0 < self.n_excited <= self.n_emitters:
             raise ParameterError("n_excited must satisfy 0 < n_excited <= n_emitters")
-        if not (self.rabi > 0.0 and self.gamma_perp > 0.0 and self.level_factor > 0.0):
-            raise ParameterError("rabi, gamma_perp and level_factor must be positive")
+        if not (self.rabi > 0.0 and self.gamma_perp > 0.0):
+            raise ParameterError("rabi and gamma_perp must be positive")
         if KAPPA_L / (0.5 * self.gamma_perp) >= 0.1:
             warnings.warn(
                 "kappa_l is not small against gamma_perp/2; adiabatic "
@@ -142,8 +131,8 @@ class SourceMicroParams:
 
     @property
     def n_threshold(self) -> float:
-        """Threshold inversion kappa_l * gamma_perp / (2 rabi^2 level_factor)."""
-        return KAPPA_L * self.gamma_perp / (2.0 * self.rabi**2 * self.level_factor)
+        """Threshold inversion kappa_l * gamma_perp / (2 rabi^2 f), f = 1/2 for two levels."""
+        return KAPPA_L * self.gamma_perp / self.rabi**2
 
     @property
     def inversion(self) -> float:

@@ -26,7 +26,8 @@ from fpinoise import (
 )
 from fpinoise.autocorr import _line_mode_transform
 from fpinoise.cavity import reflected_power, transmitted_power
-from fpinoise.config import DEFAULT_TAU_GRID
+from fpinoise.config import DEFAULT_TAU_GRID, RunConfig
+from fpinoise.figures import autocorr_product
 from fpinoise.fluctuations import (
     SpectrumDecomposition,
     cavity_fluct_components,
@@ -205,8 +206,22 @@ class TestCavityAutocorr:
 class TestTransmittedAutocorr:
     def test_normalized_starts_at_one(self, fpi, sweep_sources):
         for src in sweep_sources:
-            ac = transmitted_autocorr(fpi, src, TAUS, normalized=True)
-            assert ac.values[0] == pytest.approx(1.0, rel=1e-12)
+            ds = autocorr_product(RunConfig(fpi=fpi, source=src))
+            assert ds.series["transmitted_norm"][0] == pytest.approx(1.0, rel=1e-12)
+
+    def test_normalized_is_the_curve_over_its_squared_delta_weight(self, fpi, sweep_sources):
+        for src in sweep_sources:
+            ds = autocorr_product(RunConfig(fpi=fpi, source=src))
+            weight = ds.metadata["transmitted_delta_weight"]
+            assert np.array_equal(
+                ds.series["transmitted_norm"], ds.series["transmitted"] / weight**2
+            )
+
+    def test_normalized_keeps_a_zero_curve_at_zero_transmission(self):
+        # kappa2 = 0: no transmitted power, so nothing to normalise by
+        ds = autocorr_product(RunConfig(fpi=FpiParams(kappa2=0.0), source=SourceParams(p_in=5.0)))
+        assert ds.metadata["transmitted_delta_weight"] == 0.0
+        assert np.array_equal(ds.series["transmitted_norm"], ds.series["transmitted"])
 
     def test_zero_lag_is_squared_delta_weight(self, fpi, sweep_sources):
         # |2 kappa2 g1(0)|^2 = (2 kappa2 n)^2 = p_t^2

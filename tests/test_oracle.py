@@ -86,7 +86,7 @@ class TestSimulate:
         traj = simulate(fpi, SourceParams(p_in=0.0), SMALL)
         assert np.all(traj.input_amplitude == 0.0)
         assert np.all(traj.cavity_amplitude == 0.0)
-        spec = intensity_fluct_spectrum(traj, SMALL, segment_length=2048)
+        spec = intensity_fluct_spectrum(traj, SMALL)
         assert np.all(spec.values == 0.0)
 
     def test_real_pair_kicks_equal_the_complex_construction(self, fpi):
@@ -151,10 +151,11 @@ class TestIntensitySpectrum:
         assert rms / np.sqrt(np.mean(target**2)) <= 0.05
 
     def test_few_segments_warn(self, fpi):
-        tiny = SimConfig(n_steps=16384, n_realizations=4, burn_in=4096)
+        # one segment per row, four over the ensemble
+        tiny = SimConfig(n_steps=SEGMENT_LENGTH, n_realizations=4, burn_in=4096)
         traj = simulate(fpi, SRC5, tiny)
         with pytest.warns(EstimatorVarianceWarning) as record:
-            intensity_fluct_spectrum(traj, tiny, segment_length=16384)
+            intensity_fluct_spectrum(traj, tiny)
         # the warning names the caller, not a helper inside the oracle
         assert record[0].filename == __file__
 
@@ -190,7 +191,8 @@ class TestIntensitySpectrum:
         # floor of the smoothed estimate; halving dt must instead leave
         # the smoothed spectrum within ~the floor itself
         def smoothed(cfg, seg):
-            spec = intensity_fluct_spectrum(simulate(fpi, SRC5, cfg), cfg, segment_length=seg)
+            traj = simulate(fpi, SRC5, cfg)
+            spec = _fluct_spectrum(np.abs(traj.cavity_amplitude) ** 2, cfg.dt, seg)
             mask = np.abs(spec.omegas) <= 10.0
             return spec.omegas[mask], uniform_filter1d(spec.values, 81)[mask]
 
@@ -233,10 +235,7 @@ class TestWelchEstimate:
         assert np.max(np.abs(got.values - want.values)) <= 1e-13 * np.max(want.values)
 
     @pytest.mark.parametrize("length", [0, 1, -4])
-    def test_segment_length_below_two_rejected(self, fpi, intensity, length):
-        traj = simulate(fpi, SRC5, SimConfig(n_steps=64, n_realizations=2, burn_in=4096))
-        with pytest.raises(ParameterError, match="segment_length"):
-            intensity_fluct_spectrum(traj, SMALL, segment_length=length)
+    def test_segment_length_below_two_rejected(self, intensity, length):
         with pytest.raises(ParameterError, match="segment_length"):
             _fluct_spectrum(intensity, SMALL.dt, length)
 

@@ -63,8 +63,13 @@ class TestInputSpectrum:
 
     def test_dark_source_is_zero(self):
         src = SourceParams(p_in=0.0)
-        assert input_spectrum(0.0, src) == 0.0
+        for omega in (0.0, np.float64(0.0)):
+            value = input_spectrum(omega, src)
+            assert type(value) is float and value == 0.0
         assert np.all(input_spectrum(np.linspace(-5, 5, 11), src) == 0.0)
+        grid = np.linspace(-5, 5, 12).reshape(3, 4)
+        values = input_spectrum(grid, src)
+        assert values.shape == (3, 4) and np.all(values == 0.0)
 
     def test_peak_grows_faster_than_linearly(self):
         # peak = 2 p (1 + p) / gamma_max: superlinear in p
