@@ -115,8 +115,7 @@ def mean_photon_number(fpi: FpiParams, src: SourceParams) -> float:
     the drive line and mode response convolve to a single Lorentzian of
     summed widths.
     """
-    g = source_linewidth(src)
-    return fpi.coupling * src.p_in * lorentz_value(fpi.delta, Lorentzian(0.0, fpi.kappa_t + g))
+    return fpi.coupling * src.p_in * _response_weight(fpi, source_linewidth(src))
 
 
 def transmitted_spectrum(omega, fpi: FpiParams, src: SourceParams):
@@ -141,11 +140,11 @@ def reflected_spectrum(omega, fpi: FpiParams, src: SourceParams):
 
 
 def _response_weight(fpi: FpiParams, gamma_l: float) -> float:
-    """L(delta, kappa_t + gamma_l): line-averaged mode response weight."""
+    """Line-averaged mode response L(delta, kappa_t + gamma_l), as ``lorentz_value`` does it."""
     if gamma_l < 0.0:
         raise ParameterError("gamma_l must be nonnegative")
-    kt = fpi.kappa_t
-    return 2.0 * (kt + gamma_l) / (fpi.delta**2 + (kt + gamma_l) ** 2)
+    k = fpi.kappa_t + gamma_l
+    return 2.0 * k / (fpi.delta * fpi.delta + k * k)
 
 
 def reflection_coefficient_hwhm(fpi: FpiParams, gamma_l: float) -> float:

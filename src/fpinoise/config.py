@@ -6,7 +6,6 @@ A configuration is a plain text document of ``key = value`` lines with
     fpi.kappa1   = 0.5
     source.p_in  = 1.5
     grid.omega   = -10:15:2001
-    outputs      = spectra, coeffs
     format       = csv
 
 An empty document yields the default parameter set: mirror rates
@@ -61,7 +60,9 @@ class GridSpec:
         return cls(float(parts[0]), float(parts[1]), int(parts[2]))
 
     def __str__(self) -> str:
-        return f"{self.start:g}:{self.stop:g}:{self.count}"
+        # repr parses back to the same float; an integral bound drops its ".0"
+        start, stop = (repr(float(x)).removesuffix(".0") for x in (self.start, self.stop))
+        return f"{start}:{stop}:{self.count}"
 
 
 DEFAULT_OMEGA_GRID = GridSpec(-10.0, 15.0, 2001)
@@ -114,7 +115,6 @@ _KEYS = {
     **_record_keys(),
     "grid.omega": (None, "omega_grid", GridSpec.parse),
     "grid.tau": (None, "tau_grid", GridSpec.parse),
-    "outputs": (None, "outputs", lambda v: tuple(t.strip() for t in v.split(",") if t.strip())),
     "format": (None, "format", str),
     "out_dir": (None, "out_dir", str),
 }

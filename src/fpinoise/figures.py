@@ -10,7 +10,7 @@ Figures 4-9 are views of the ``spectra``, ``fluct`` and ``autocorr``
 products, which compute each quantity once: a view takes its product
 at one sweep power (panels a-d) or at each of them, and renames or
 selects the product's columns and metadata; fig8 also divides by the
-zero-lag value.  Only fig3a/b compute their own curves.
+cavity curve's zero-lag value n(n+1).  Only fig3a/b compute their own curves.
 """
 
 from __future__ import annotations
@@ -111,10 +111,9 @@ def energy_split_report(sweep: FigureDataset) -> FigureDataset:
 
 def _fig3a(cfg: RunConfig) -> FigureDataset:
     powers = np.linspace(0.0, 50.0, 501)
-    photon = np.array(
-        [mean_photon_number(cfg.fpi, _sweep_source(cfg, p)) for p in powers]
-    )
-    widths = np.array([source_linewidth(_sweep_source(cfg, p)) for p in powers])
+    sources = [_sweep_source(cfg, p) for p in powers]
+    photon = np.array([mean_photon_number(cfg.fpi, src) for src in sources])
+    widths = np.array([source_linewidth(src) for src in sources])
     return FigureDataset(
         "fig3a",
         {"p_in": powers, "photon_number": photon, "gamma_l": widths},
@@ -124,28 +123,18 @@ def _fig3a(cfg: RunConfig) -> FigureDataset:
 
 def _fig3b(cfg: RunConfig) -> FigureDataset:
     deltas = np.linspace(-15.0, 15.0, 601)
-    finite_src = _sweep_source(cfg, 1.0)
-    g_finite = source_linewidth(finite_src)
-    r_fin = np.empty_like(deltas)
-    t_fin = np.empty_like(deltas)
-    r_mono = np.empty_like(deltas)
-    t_mono = np.empty_like(deltas)
-    for i, d in enumerate(deltas):
-        fpi = replace(cfg.fpi, delta=float(d))
-        r_fin[i] = reflection_coefficient_hwhm(fpi, g_finite)
-        t_fin[i] = transmission_coefficient_hwhm(fpi, g_finite)
-        r_mono[i] = reflection_coefficient_hwhm(fpi, 0.0)
-        t_mono[i] = transmission_coefficient_hwhm(fpi, 0.0)
+    g_finite = source_linewidth(_sweep_source(cfg, 1.0))
+    fpis = [replace(cfg.fpi, delta=float(d)) for d in deltas]
+    columns = {
+        f"{name}_{line}": np.array([coefficient(fpi, g) for fpi in fpis])
+        for line, g in (("finite", g_finite), ("mono", 0.0))
+        for name, coefficient in (
+            ("reflection", reflection_coefficient_hwhm),
+            ("transmission", transmission_coefficient_hwhm),
+        )
+    }
     return FigureDataset(
-        "fig3b",
-        {
-            "delta": deltas,
-            "reflection_finite": r_fin,
-            "transmission_finite": t_fin,
-            "reflection_mono": r_mono,
-            "transmission_mono": t_mono,
-        },
-        base_metadata(cfg, finite_line_hwhm=g_finite),
+        "fig3b", {"delta": deltas, **columns}, base_metadata(cfg, finite_line_hwhm=g_finite)
     )
 
 
@@ -181,8 +170,7 @@ def _sweep(figure_id: str, product: str, columns: dict, meta: dict, cfg: RunConf
 def _fig8(figure_id: str, cfg: RunConfig) -> FigureDataset:
     p_in = _PANEL_POWER[figure_id[-1]]
     ds = _product_at(cfg, "autocorr", p_in)
-    norm = ds.series["cavity_total"][0]
-    norm = norm if norm > 0.0 else 1.0
+    norm = cavity_autocorr(cfg.fpi, _sweep_source(cfg, p_in), 0.0).values[0]
     parts = {part: ds.series[f"cavity_{part}"] / norm for part in ("total", "classical", "quantum")}
     return FigureDataset(
         figure_id,

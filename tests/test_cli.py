@@ -18,6 +18,8 @@ from fpinoise import (
     mean_photon_number,
     source_linewidth,
 )
+from fpinoise.autocorr import cavity_autocorr
+from fpinoise.cavity import reflection_coefficient_hwhm, transmission_coefficient_hwhm
 from fpinoise.cli import _build_parser, main
 from fpinoise.config import PRODUCTS, RunConfig, parse_config
 from fpinoise.figures import (
@@ -53,6 +55,14 @@ def _read_csv(path):
     return metadata, header, np.array(rows)
 
 
+# the alternative configuration of the preset checks: short grids, negative
+# detuning, a narrower maximum linewidth and no absorption
+_ALT_CFG = parse_config(
+    "grid.omega = -10:15:201\ngrid.tau = 0:12:101\nfpi.delta = -3\n"
+    "source.gamma_max = 1.2\nfpi.kappa0 = 0"
+)
+
+
 class TestFigureDatasets:
     def test_all_ids_build(self, tmp_path):
         cfg = parse_config("grid.omega = -10:15:201\ngrid.tau = 0:12:101")
@@ -84,6 +94,31 @@ class TestFigureDatasets:
         mid = np.argmin(np.abs(deltas))
         assert ds.series["transmission_finite"][mid] < ds.series["transmission_mono"][mid]
         assert ds.series["reflection_finite"][mid] > ds.series["reflection_mono"][mid]
+        # each column is its coefficient called per detuning, at both configs
+        for cfg in (RunConfig(), _ALT_CFG):
+            ds = run_figure("fig3b", cfg)
+            g_finite = source_linewidth(SourceParams(p_in=1.0, gamma_max=cfg.source.gamma_max))
+            assert ds.metadata["finite_line_hwhm"] == g_finite
+            fpis = [replace(cfg.fpi, delta=float(d)) for d in ds.series["delta"]]
+            for name, coefficient, g in (
+                ("reflection_finite", reflection_coefficient_hwhm, g_finite),
+                ("transmission_finite", transmission_coefficient_hwhm, g_finite),
+                ("reflection_mono", reflection_coefficient_hwhm, 0.0),
+                ("transmission_mono", transmission_coefficient_hwhm, 0.0),
+            ):
+                expected = [coefficient(fpi, g) for fpi in fpis]
+                assert np.array_equal(ds.series[name], expected), name
+
+    def test_fig3a_columns(self):
+        for cfg in (RunConfig(), _ALT_CFG):
+            ds = run_figure("fig3a", cfg)
+            assert list(ds.series) == ["p_in", "photon_number", "gamma_l"]
+            powers = ds.series["p_in"]
+            assert np.array_equal(powers, np.linspace(0.0, 50.0, 501))
+            sources = [SourceParams(p_in=p, gamma_max=cfg.source.gamma_max) for p in powers]
+            photon = [mean_photon_number(cfg.fpi, src) for src in sources]
+            assert np.array_equal(ds.series["photon_number"], photon)
+            assert np.array_equal(ds.series["gamma_l"], [source_linewidth(s) for s in sources])
 
     def test_fig4b_drive_power(self):
         cfg = parse_config("grid.omega = -10:15:201")
@@ -164,10 +199,7 @@ def _preset_views():
 class TestPresetViews:
     """Figures 4-9 carry the CLI products' numbers at the sweep powers, bit for bit."""
 
-    CFG = parse_config(
-        "grid.omega = -10:15:201\ngrid.tau = 0:12:101\nfpi.delta = -3\n"
-        "source.gamma_max = 1.2\nfpi.kappa0 = 0"
-    )
+    CFG = _ALT_CFG
     VIEWS = _preset_views()
 
     @pytest.fixture(scope="class")
@@ -210,6 +242,20 @@ class TestPresetViews:
         for part in ("total", "classical", "quantum"):
             assert np.array_equal(ds.series[part], ac.series[f"cavity_{part}"] / norm), part
         assert ds.metadata == base_metadata(self.CFG, p_in=p_in, normalization=float(norm))
+
+    @pytest.mark.parametrize("tau_grid", ["1:12:601", "2.5:12:601"])
+    @pytest.mark.parametrize("panel, p_in", zip("abcd", _POWERS))
+    def test_fig8_normalization_is_the_zero_lag_value_off_the_grid(self, tau_grid, panel, p_in):
+        # the lag grid does not hold tau = 0: the first lag is no normalization
+        cfg = parse_config(f"grid.tau = {tau_grid}")
+        ds = run_figure(f"fig8{panel}", cfg)
+        src = SourceParams(p_in=p_in, gamma_max=cfg.source.gamma_max)
+        norm = ds.metadata["normalization"]
+        assert norm == cavity_autocorr(cfg.fpi, src, 0.0).values[0]
+        n = mean_photon_number(cfg.fpi, src)
+        assert norm == pytest.approx(n * (n + 1), rel=1e-15, abs=0.0)
+        ac = PRODUCT_BUILDERS["autocorr"](replace(cfg, source=src))
+        assert np.array_equal(ds.series["total"], ac.series["cavity_total"] / norm)
 
 
 class TestEnergySplit:

@@ -8,7 +8,7 @@ from fpinoise.oracle import SimConfig
 
 KNOWN_KEYS = [
     "format", "fpi.delta", "fpi.kappa0", "fpi.kappa1", "fpi.kappa2", "grid.omega",
-    "grid.tau", "out_dir", "outputs", "seed", "sim.burn_in", "sim.dt",
+    "grid.tau", "out_dir", "seed", "sim.burn_in", "sim.dt",
     "sim.n_realizations", "sim.n_steps", "source.gamma_max", "source.p_in",
 ]
 
@@ -37,7 +37,6 @@ class TestParse:
         sim.n_steps = 4096
         seed = 99
         grid.omega = -20:20:401
-        outputs = coeffs, spectra
         format = json
         out_dir = /tmp/somewhere
         """
@@ -47,7 +46,6 @@ class TestParse:
         assert cfg.sim.n_steps == 4096
         assert cfg.sim.seed == 99
         assert cfg.omega_grid == GridSpec(-20.0, 20.0, 401)
-        assert cfg.outputs == ("coeffs", "spectra")
         assert cfg.format == "json"
         assert cfg.out_dir == "/tmp/somewhere"
 
@@ -73,7 +71,12 @@ class TestParse:
 
     def test_unknown_product_rejected(self):
         with pytest.raises(ConfigError, match="unknown product"):
-            parse_config("outputs = spectra, nonsense")
+            RunConfig(outputs=("spectra", "nonsense"))
+
+    def test_outputs_is_not_a_config_key(self):
+        # each command writes its own product; no command reads a product list
+        with pytest.raises(ConfigError, match="unknown key 'outputs'"):
+            parse_config("outputs = spectra")
 
     def test_bad_format_rejected(self):
         with pytest.raises(ConfigError, match="not supported"):
@@ -111,13 +114,23 @@ class TestParse:
             fpi=FpiParams(kappa1=0.4, kappa2=0.3, kappa0=0.2, delta=-2.5),
             source=SourceParams(p_in=7.25, gamma_max=1.5),
             sim=SimConfig(dt=0.02, n_steps=4096, n_realizations=3, seed=2**64 - 1, burn_in=17),
+            # bounds that 6 significant digits would round
+            omega_grid=GridSpec(-10.0, 15.0000001, 2001),
+            tau_grid=GridSpec(0.1234567891, 12.000000000000002, 601),
         )
         lines = []
         for key, value in config_echo(cfg).items():
-            if key.split(".")[0] in ("fpi", "source", "sim") and key != "source.gamma_l":
+            if key.startswith("grid."):
+                lines.append(f"{key} = {value}")
+            elif key.split(".")[0] in ("fpi", "source", "sim") and key != "source.gamma_l":
                 lines.append(f"{'seed' if key == 'sim.seed' else key} = {value!r}")
         parsed = parse_config("\n".join(lines))
         assert (parsed.fpi, parsed.source, parsed.sim) == (cfg.fpi, cfg.source, cfg.sim)
+        assert (parsed.omega_grid, parsed.tau_grid) == (cfg.omega_grid, cfg.tau_grid)
+
+    def test_default_grid_echo_keeps_its_spelling(self):
+        echo = config_echo(RunConfig())
+        assert (echo["grid.omega"], echo["grid.tau"]) == ("-10:15:2001", "0:12:601")
 
     def test_strong_drive_linewidth_echo(self):
         cfg = parse_config("source.p_in = 50")
