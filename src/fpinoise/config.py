@@ -157,11 +157,16 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str | None) -> RunConfig:
-    """Read a config file, or return the defaults when ``path`` is None."""
+    """Read a UTF-8 config file, or return the defaults when ``path`` is None."""
     if path is None:
         return RunConfig()
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start} is not UTF-8; save it as UTF-8") from exc
+    return parse_config(text)
 
 
 def apply_overrides(

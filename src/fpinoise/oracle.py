@@ -95,10 +95,9 @@ class Trajectory:
     """Stationary section of an ensemble of simulated runs.
 
     ``input_amplitude`` and ``cavity_amplitude`` are complex arrays of
-    shape (n_realizations, n_steps) sharing the time axis ``times``.
+    shape (n_realizations, n_steps), sampled every ``SimConfig.dt``.
     """
 
-    times: np.ndarray
     input_amplitude: np.ndarray
     cavity_amplitude: np.ndarray
 
@@ -203,28 +202,24 @@ def simulate(fpi: FpiParams, src: SourceParams, cfg: SimConfig) -> Trajectory:
 
     for _ in _thread_map(store, cfg.n_realizations):
         pass
-    return Trajectory(
-        times=np.arange(cfg.n_steps) * cfg.dt, input_amplitude=x, cavity_amplitude=a
-    )
+    return Trajectory(input_amplitude=x, cavity_amplitude=a)
 
 
-def _welch_layout(n_runs: int, n_steps: int, segment_length: int, stacklevel: int):
+def _welch_layout(n_runs: int, n_steps: int):
     """Segments per row and periodic Hann window of the Welch estimate.
 
-    Segments of ``min(segment_length, n_steps)`` samples overlap by half
+    Segments of ``min(SEGMENT_LENGTH, n_steps)`` samples overlap by half
     a segment.  Fewer than 8 segments over the ensemble raise an
-    :class:`EstimatorVarianceWarning` naming the frame ``stacklevel``
-    calls above this one.
+    :class:`EstimatorVarianceWarning` naming the caller of the public
+    estimator that called this function.
     """
-    if segment_length < 2:
-        raise ParameterError(f"segment_length must be at least 2, got {segment_length}")
-    length = int(min(segment_length, n_steps))
+    length = min(SEGMENT_LENGTH, n_steps)
     count = (n_steps - length // 2) // (length - length // 2)
     if n_runs * count < 8:
         warnings.warn(
             f"only {n_runs * count} periodogram segments; the estimate variance is high",
             EstimatorVarianceWarning,
-            stacklevel=stacklevel + 1,
+            stacklevel=3,
         )
     # periodic Hann window, as scipy.signal.get_window("hann", length)
     window = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, length + 1))[:-1]
@@ -287,27 +282,6 @@ def _welch_density(rows, n_runs: int, window: np.ndarray, count: int, dt: float)
     return SpectrumGrid(omegas, np.fft.fftshift(two_sided))
 
 
-def _fluct_spectrum(intensity: np.ndarray, dt: float, segment_length: int) -> SpectrumGrid:
-    """Welch estimate over the rows of an (n_realizations, n_steps) intensity.
-
-    The ensemble mean is removed from each row, Hann-windowed segments
-    overlapping by ``segment_length // 2`` samples are averaged over
-    segments and rows, and the average is scaled to a density.  Equal,
-    within rounding, to ``scipy.signal.welch`` with ``window="hann"``,
-    ``detrend=False``, ``return_onesided=False`` and ``scaling="density"``
-    averaged over rows.  Rows run on the thread pool through the same
-    :func:`_row_sums` as :func:`streamed_estimate`.  A variance warning
-    names the caller of :func:`intensity_fluct_spectrum`.
-    """
-    n_runs, n_steps = intensity.shape
-    count, window = _welch_layout(n_runs, n_steps, segment_length, 3)
-
-    def row_sums(r: int):
-        return _row_sums(intensity[r], intensity[r].mean(), window, count)
-
-    return _welch_density(_thread_map(row_sums, n_runs), n_runs, window, count, dt)
-
-
 def intensity_fluct_spectrum(traj: Trajectory, cfg: SimConfig) -> SpectrumGrid:
     """Averaged-periodogram estimate of the cavity intensity fluctuation spectrum.
 
@@ -315,12 +289,23 @@ def intensity_fluct_spectrum(traj: Trajectory, cfg: SimConfig) -> SpectrumGrid:
     I(t) = |a|^2 - <|a|^2> of the cavity amplitude a: the stationary mean is
     removed once over the whole ensemble (removing it per segment would
     notch the spectrum at zero frequency), then Hann-windowed segments
-    of ``SEGMENT_LENGTH`` samples with 50% overlap are averaged over
-    segments and realizations.  Returned in angular frequency with the
-    (1/2pi) * integral dw normalization, directly comparable to the
-    analytic classical terms.
+    of ``min(SEGMENT_LENGTH, n_steps)`` samples with 50% overlap are
+    averaged over segments and realizations.  Rows run on the thread
+    pool through the same :func:`_row_sums` as :func:`streamed_estimate`.
+    Equal, within rounding, to ``scipy.signal.welch`` with
+    ``window="hann"``, ``detrend=False``, ``return_onesided=False`` and
+    ``scaling="density"`` averaged over rows.  Returned in angular
+    frequency with the (1/2pi) * integral dw normalization, directly
+    comparable to the analytic classical terms.
     """
-    return _fluct_spectrum(np.abs(traj.cavity_amplitude) ** 2, cfg.dt, SEGMENT_LENGTH)
+    intensity = np.abs(traj.cavity_amplitude) ** 2
+    n_runs, n_steps = intensity.shape
+    count, window = _welch_layout(n_runs, n_steps)
+
+    def row_sums(r: int):
+        return _row_sums(intensity[r], intensity[r].mean(), window, count)
+
+    return _welch_density(_thread_map(row_sums, n_runs), n_runs, window, count, cfg.dt)
 
 
 def _mean_and_stderr(per_run: np.ndarray) -> tuple[float, float]:
@@ -349,7 +334,7 @@ def streamed_estimate(
     two rows and reduces them to their means and the realization's Welch
     sums (:func:`_row_sums`) before it takes the next realization.
     """
-    count, window = _welch_layout(cfg.n_realizations, cfg.n_steps, SEGMENT_LENGTH, 2)
+    count, window = _welch_layout(cfg.n_realizations, cfg.n_steps)
     chunks = _realization_chunks(fpi, src, cfg)
     power = np.empty(cfg.n_realizations)
     photons = np.empty(cfg.n_realizations)

@@ -18,8 +18,10 @@ numpy array, both half-planes grouped), which the engine must match bit
 for bit.  For
 the stochastic oracle, ``welch_route`` is the per-row
 ``scipy.signal.welch`` estimate that checks the batched FFT estimate,
-and ``complex_kick_realization`` builds a realization from complex
-kicks through complex ``lfilter`` recurrences.
+and the estimator for any intensity other than |a|^2 or any segment
+length other than ``SEGMENT_LENGTH``; ``complex_kick_realization``
+builds a realization from complex kicks through complex ``lfilter``
+recurrences.
 """
 
 from __future__ import annotations

@@ -392,6 +392,14 @@ class TestCliMain:
         cfg_file.write_text("fpi.kappa1 = -2\n")
         assert main(["coeffs", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        # a byte that is not UTF-8 is a configuration error, not a traceback
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_bytes(b"fpi.delta = 2\n\xff\n")
+        assert main(["coeffs", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "byte 14 is not UTF-8" in err
+
     def test_config_setting_only_gamma_max_runs(self, tmp_path):
         cfg_file = tmp_path / "line.cfg"
         cfg_file.write_text("source.gamma_max = 2\n")

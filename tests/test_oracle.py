@@ -18,6 +18,8 @@ from fpinoise import (
     RunConfig,
     SimConfig,
     SourceParams,
+    Trajectory,
+    cavity_autocorr,
     intensity_fluct_spectrum,
     mean_photon_number,
     oracle,
@@ -30,7 +32,6 @@ from fpinoise.fluctuations import cavity_fluct_components
 from fpinoise.oracle import (
     CHUNK_LENGTH,
     SEGMENT_LENGTH,
-    _fluct_spectrum,
     stationary_input_power,
     stationary_photon_number,
     streamed_estimate,
@@ -121,7 +122,6 @@ class TestSimulate:
         traj = simulate(fpi, SRC5, SMALL)
         assert traj.input_amplitude.shape == (8, 16384)
         assert traj.cavity_amplitude.shape == (8, 16384)
-        assert traj.times.shape == (16384,)
 
 
 def replace_seed(cfg: SimConfig, seed: int) -> SimConfig:
@@ -143,7 +143,7 @@ class TestIntensitySpectrum:
     def test_input_spectrum_matches_drive_selfbeat(self, fpi):
         cfg = SimConfig()
         traj = simulate(fpi, SRC5, cfg)
-        spec = _fluct_spectrum(np.abs(traj.input_amplitude) ** 2, cfg.dt, SEGMENT_LENGTH)
+        spec = welch_route(np.abs(traj.input_amplitude) ** 2, cfg.dt, SEGMENT_LENGTH)
         mask = np.abs(spec.omegas) <= 10.0
         g = source_linewidth(SRC5)
         target = SRC5.p_in**2 * _lorentz(spec.omegas[mask], 2.0 * g)
@@ -171,9 +171,9 @@ class TestIntensitySpectrum:
         traj = simulate(fpi, SRC5, cfg)
         x, a = traj.input_amplitude, traj.cavity_amplitude
         rows = np.abs(0.5 * (x[:, :-1] + x[:, 1:]) - np.sqrt(2.0 * fpi.kappa1) * a[:, 1:]) ** 2
-        spec = _fluct_spectrum(rows, cfg.dt, SEGMENT_LENGTH)
+        spec = welch_route(rows, cfg.dt, SEGMENT_LENGTH)
         per_run = np.array(
-            [_fluct_spectrum(row[None], cfg.dt, SEGMENT_LENGTH).values for row in rows]
+            [welch_route(row[None], cfg.dt, SEGMENT_LENGTH).values for row in rows]
         )
         target = reflected_fluct_spectrum(spec.omegas, fpi, SRC5).colored
         # relative error averaged over a band: the ensemble estimate
@@ -192,7 +192,7 @@ class TestIntensitySpectrum:
         # the smoothed spectrum within ~the floor itself
         def smoothed(cfg, seg):
             traj = simulate(fpi, SRC5, cfg)
-            spec = _fluct_spectrum(np.abs(traj.cavity_amplitude) ** 2, cfg.dt, seg)
+            spec = welch_route(np.abs(traj.cavity_amplitude) ** 2, cfg.dt, seg)
             mask = np.abs(spec.omegas) <= 10.0
             return spec.omegas[mask], uniform_filter1d(spec.values, 81)[mask]
 
@@ -212,32 +212,31 @@ class TestIntensitySpectrum:
 class TestWelchEstimate:
     """The batched FFT estimate against per-row ``scipy.signal.welch``."""
 
+    CFG = SimConfig(n_steps=3 * SEGMENT_LENGTH, n_realizations=4, burn_in=4096)
+
     @pytest.fixture(scope="class")
-    def intensity(self):
-        cfg = SimConfig(n_steps=16384, n_realizations=4, burn_in=4096)
-        return np.abs(simulate(FpiParams(), SRC5, cfg).cavity_amplitude) ** 2
+    def trajectory(self):
+        return simulate(FpiParams(), SRC5, self.CFG)
 
     @pytest.mark.filterwarnings("ignore::fpinoise.errors.EstimatorVarianceWarning")
     @pytest.mark.parametrize(
-        "n_steps, length",
+        "n_steps",
         [
-            (16384, 2048),  # even segment length
-            (16384, 1001),  # odd segment length: the hop is 501, not 500
-            (16384, 16384),  # one segment per row
-            (10000, 2048),  # rows that are not a multiple of the hop
+            3 * SEGMENT_LENGTH,  # five half-overlapping segments per row
+            20000,  # rows that are not a multiple of the hop
+            SEGMENT_LENGTH,  # one segment per row
+            SEGMENT_LENGTH - 1,  # one odd segment per row
         ],
     )
-    def test_agrees_with_scipy_welch(self, intensity, n_steps, length):
-        rows = intensity[:, :n_steps]
-        got = _fluct_spectrum(rows, SMALL.dt, length)
-        want = welch_route(rows, SMALL.dt, length)
+    def test_agrees_with_scipy_welch(self, trajectory, n_steps):
+        cut = Trajectory(
+            input_amplitude=trajectory.input_amplitude[:, :n_steps],
+            cavity_amplitude=trajectory.cavity_amplitude[:, :n_steps],
+        )
+        got = intensity_fluct_spectrum(cut, self.CFG)
+        want = welch_route(np.abs(cut.cavity_amplitude) ** 2, self.CFG.dt, SEGMENT_LENGTH)
         assert np.array_equal(got.omegas, want.omegas)
         assert np.max(np.abs(got.values - want.values)) <= 1e-13 * np.max(want.values)
-
-    @pytest.mark.parametrize("length", [0, 1, -4])
-    def test_segment_length_below_two_rejected(self, intensity, length):
-        with pytest.raises(ParameterError, match="segment_length"):
-            _fluct_spectrum(intensity, SMALL.dt, length)
 
     def test_scipy_signal_loads_only_when_a_simulation_runs(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -302,13 +301,22 @@ class TestStreamedOracle:
     """The oracle product holds no ensemble array, only each realization's Welch sums."""
 
     @staticmethod
-    def _run(fpi, **sim):
-        cfg = SimConfig(n_steps=16384, burn_in=4096, **sim)
+    def _run(fpi, n_steps=16384, **sim):
+        cfg = SimConfig(n_steps=n_steps, burn_in=4096, **sim)
         return cfg, oracle_product(RunConfig(fpi=fpi, source=SRC5, sim=cfg))
 
-    @pytest.mark.parametrize("seed", [3, 20260810])
-    def test_product_equals_the_whole_ensemble_routes(self, fpi, seed):
-        cfg, ds = self._run(fpi, n_realizations=4, seed=seed)
+    @pytest.mark.parametrize(
+        "seed, n_steps",
+        [
+            pytest.param(3, 16384, id="3"),
+            pytest.param(20260810, 16384, id="20260810"),
+            # rows shorter than a segment: one odd segment per realization
+            pytest.param(3, SEGMENT_LENGTH - 1, id="3-odd-row"),
+            pytest.param(20260810, SEGMENT_LENGTH - 1, id="20260810-odd-row"),
+        ],
+    )
+    def test_product_equals_the_whole_ensemble_routes(self, fpi, recwarn, seed, n_steps):
+        cfg, ds = self._run(fpi, n_steps, n_realizations=4, seed=seed)
         traj = simulate(fpi, SRC5, cfg)
         spec = intensity_fluct_spectrum(traj, cfg)
         assert np.array_equal(ds.series["omega"], spec.omegas)
@@ -318,6 +326,10 @@ class TestStreamedOracle:
         assert (meta["photon_number_mean"], meta["photon_number_stderr"]) == (
             stationary_photon_number(traj)
         )
+        # one segment per row is 4 over the ensemble, and each route warns once
+        warned = [str(w.message) for w in recwarn if w.category is EstimatorVarianceWarning]
+        expected = ["only 4 periodogram segments; the estimate variance is high"] * 2
+        assert warned == (expected if n_steps < SEGMENT_LENGTH else [])
 
     def test_few_segments_warn(self, fpi):
         with pytest.warns(EstimatorVarianceWarning):
@@ -405,3 +417,54 @@ class TestThreads:
         with pytest.raises(RuntimeError, match="realization 1 failed"):
             streamed_estimate(fpi, SRC5, self.CFG)
         assert threading.active_count() == threads
+
+
+# the drive and cavity of the reflected-field check, at the coarsest step
+# that validate_sim_config admits (0.05 / |delta|): lag curves need long
+# records, 105,000 time units over the ensemble, more than fine steps
+LAG_FPI = FpiParams(kappa1=1.0, kappa2=0.3, kappa0=0.1, delta=2.0)
+LAG_SIM = SimConfig(dt=0.025, n_steps=131072, n_realizations=32, burn_in=8192)
+
+
+@pytest.fixture(scope="module")
+def lag_ensemble():
+    """One seeded ensemble for the lag-domain checks, simulated once per module."""
+    return simulate(LAG_FPI, SRC5, LAG_SIM)
+
+
+class TestLagCurves:
+    """The closed-form lag curves against the simulated intensity's autocovariance."""
+
+    def test_cavity_classical_curve_matches_the_ensemble(self, lag_ensemble):
+        n = LAG_SIM.n_steps
+        lags = np.arange(25) * 20  # tau = 0, 0.5, ..., 12
+        intensity = np.abs(lag_ensemble.cavity_amplitude) ** 2
+        means = intensity.mean(axis=1)
+        # each realization's autocovariance of |a|^2 less its own mean, by a
+        # zero-padded FFT (no circular wrap), averaged over the n - k pairs
+        per_run = np.empty((LAG_SIM.n_realizations, lags.size))
+        for r, row in enumerate(intensity):
+            spectrum = np.fft.rfft(row - means[r], 2 * n)
+            per_run[r] = np.fft.irfft(np.abs(spectrum) ** 2, 2 * n)[lags] / (n - lags)
+        # a control variate (Glasserman, Monte Carlo Methods in Financial
+        # Engineering, 2004, sec. 4.1): a realization's mean m_r has the known
+        # expectation n, and its autocovariance rises with it (correlation
+        # about 0.8 at zero lag); the intercept at m_r = n of a straight-line
+        # fit across realizations has about 0.6 of the plain mean's standard
+        # error at short lags, where a scale error in the curve shows most,
+        # and the fit's covariance gives that error from the realizations'
+        # own scatter
+        nbar = mean_photon_number(LAG_FPI, SRC5)
+        coef, cov = np.polyfit(means / nbar - 1.0, per_run, 1, cov=True)
+        estimate, stderr = coef[1], np.sqrt(cov[1, 1])
+        # removing a record's own mean lowers every lag by Var(m_r), which is
+        # S(0) / T to first order in the correlation time over the record
+        # length T (Priestley, Spectral Analysis and Time Series, 1981,
+        # sec. 5.3), S(0) the classical spectrum at zero frequency; corrected
+        # here, the correction is 0.07% of C(0) and a tenth of its error
+        estimate += cavity_fluct_components(0.0, LAG_FPI, SRC5)[0] / (n * LAG_SIM.dt)
+        target = cavity_autocorr(LAG_FPI, SRC5, lags * LAG_SIM.dt).classical
+        # 25 correlated lags, each within 4 standard errors; the curve
+        # scaled by 1.05 or 0.95 misses by more than 6 at zero lag
+        z = (estimate - target) / stderr
+        assert np.max(np.abs(z)) <= 4.0, z
