@@ -49,7 +49,6 @@ from .lorentz import (
     KAPPA_L_RAD_PER_SEC,
     Lorentzian,
     LorentzProduct,
-    QuadratureSettings,
     adaptive_integral,
     lorentz_product_integral,
     lorentz_product_transform,
@@ -79,7 +78,6 @@ __all__ = [
     "Lorentzian",
     "LorentzProduct",
     "ParameterError",
-    "QuadratureSettings",
     "RunConfig",
     "SimConfig",
     "SourceMicroParams",

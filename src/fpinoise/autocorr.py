@@ -104,28 +104,10 @@ def _line_mode_transform(tau, g: float, k: float, d: float):
     return complex(values) if lags.ndim == 0 else values
 
 
-def cavity_amplitude_correlation(tau, fpi: FpiParams, src: SourceParams):
-    """Lag transform g1(tau) of the in-cavity field spectrum, tau >= 0.
-
-    Lag transform of the drive line times the mode response, scaled by
-    p_in kappa1 / kappa_t; g1(0) equals the mean photon number.  A scalar
-    lag gives a complex, an array of lags an array.
-    """
+def _cavity_amplitude(fpi: FpiParams, src: SourceParams, taus: np.ndarray) -> np.ndarray:
+    """g1(tau), the lag transform of the in-cavity field spectrum; g1(0) is the photon number."""
     g = source_linewidth(src)
-    return src.p_in * fpi.coupling * _line_mode_transform(tau, g, fpi.kappa_t, fpi.delta)
-
-
-def commutator_correlation(tau, fpi: FpiParams):
-    """Lag transform of the mode commutator density: e^{-i delta tau - kappa_t tau}."""
-    return np.exp(-(1j * fpi.delta + fpi.kappa_t) * np.asarray(tau, dtype=float))
-
-
-def reflected_amplitude_correlation(tau, fpi: FpiParams, src: SourceParams):
-    """Lag transform of the reflected field spectrum, tau >= 0, scalar or array."""
-    g = source_linewidth(src)
-    direct = np.exp(-g * np.asarray(tau, dtype=float))
-    removed = _line_mode_transform(tau, g, fpi.kappa_t, fpi.delta)
-    return src.p_in * (direct - fpi.removal_rate * removed)
+    return src.p_in * fpi.coupling * _line_mode_transform(taus, g, fpi.kappa_t, fpi.delta)
 
 
 def cavity_autocorr(fpi: FpiParams, src: SourceParams, taus) -> AutoCorrelation:
@@ -136,9 +118,10 @@ def cavity_autocorr(fpi: FpiParams, src: SourceParams, taus) -> AutoCorrelation:
     quantum noise is colored, not white.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    g1 = cavity_amplitude_correlation(taus, fpi, src)
+    g1 = _cavity_amplitude(fpi, src, taus)
+    c1 = np.exp(-(1j * fpi.delta + fpi.kappa_t) * taus)
     classical = np.abs(g1) ** 2
-    quantum = (g1 * np.conj(commutator_correlation(taus, fpi))).real
+    quantum = (g1 * np.conj(c1)).real
     return AutoCorrelation(
         taus=taus,
         values=classical + quantum,
@@ -155,7 +138,7 @@ def transmitted_autocorr(fpi: FpiParams, src: SourceParams, taus) -> AutoCorrela
     zero-lag value is the colored variance |2 kappa2 g1(0)|^2 = p_t^2.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    values = (2.0 * fpi.kappa2) ** 2 * np.abs(cavity_amplitude_correlation(taus, fpi, src)) ** 2
+    values = (2.0 * fpi.kappa2) ** 2 * np.abs(_cavity_amplitude(fpi, src, taus)) ** 2
     return AutoCorrelation(taus=taus, values=values, delta_weight=transmitted_power(fpi, src))
 
 
@@ -170,8 +153,11 @@ def reflected_autocorr(
     the cavity; values(0) = |pr1(0)|^2 = p_r^2.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    values = np.abs(reflected_amplitude_correlation(taus, fpi, src)) ** 2
-    rate = 2.0 * source_linewidth(src)
+    g = source_linewidth(src)
+    removed = _line_mode_transform(taus, g, fpi.kappa_t, fpi.delta)
+    pr1 = src.p_in * (np.exp(-g * taus) - fpi.removal_rate * removed)
+    values = np.abs(pr1) ** 2
+    rate = 2.0 * g
     p_r = reflected_power(fpi, src)
     v0 = p_r**2
     if v0 > 0.0:

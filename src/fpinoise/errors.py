@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the warning helper."""
+
+import sys
+import warnings
 
 
 class ParameterError(ValueError):
@@ -34,3 +37,15 @@ class EstimatorVarianceWarning(UserWarning):
 
 class AdiabaticityWarning(UserWarning):
     """Source-cavity escape rate is not small against the polarization decay."""
+
+
+def warn_at_caller(message: str, category: type[Warning]) -> None:
+    """Warn at the first stack frame outside this package: the caller's own line.
+
+    Frames are told by their module, not their file, so a dataclass's
+    generated ``__init__`` (file ``<string>``) counts as the package's.
+    """
+    frame, level = sys._getframe(), 1
+    while frame and frame.f_globals.get("__name__", "").partition(".")[0] == "fpinoise":
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)

@@ -11,7 +11,7 @@ exactly here by closing the contour in one half-plane and summing
 residues, including repeated poles.  An adaptive quadrature over the
 infinite axis (tangent substitution, no truncation cutoff) is the
 independent cross-check, and the fallback of a residue sum whose
-round-off bound misses the one tolerance :data:`DEFAULT_QUADRATURE`.
+round-off bound misses the one tolerance (:func:`accepts`).
 
 All frequencies and rates are dimensionless, expressed in units of the
 source-cavity escape rate; see :data:`KAPPA_L_RAD_PER_SEC`.
@@ -20,13 +20,12 @@ source-cavity escape rate; see :data:`KAPPA_L_RAD_PER_SEC`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DegeneratePolesWarning, ParameterError
+from .errors import ConvergenceError, DegeneratePolesWarning, ParameterError, warn_at_caller
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,6 +41,20 @@ GROUP_FACTOR = 1e-12
 
 # Round-off of one residue term, relative to its magnitude.
 _ROUNDOFF = 16.0 * math.ulp(1.0)
+
+# The one tolerance: the adaptive quadrature's targets, and the test
+# that both its result and a residue sum's round-off bound must pass.
+REL_TOL = 1e-11
+ABS_TOL = 1e-13
+MAX_SUBDIVISIONS = 200
+
+
+def accepts(value: float, error: float) -> bool:
+    """Whether ``error`` <= 10 max(ABS_TOL, REL_TOL |value|); NaN or inf fails.
+
+    Plain ``max``/``abs``: the per-point residue integrals stay off numpy.
+    """
+    return error < math.inf and error <= max(ABS_TOL, REL_TOL * abs(value)) * 10.0
 
 
 @dataclass(frozen=True)
@@ -104,31 +117,6 @@ def product(*center_width_pairs: tuple[float, float]) -> LorentzProduct:
 
 
 @dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances for the adaptive infinite-axis quadrature."""
-
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-13
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ParameterError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ParameterError("max_subdivisions must be at least 1")
-
-    def accepts(self, value: float, error: float) -> bool:
-        """Whether ``error`` <= 10 max(abs_tol, rel_tol |value|); NaN or inf fails.
-
-        Plain ``max``/``abs``: the per-point residue integrals stay off numpy.
-        """
-        return error < math.inf and error <= max(self.abs_tol, self.rel_tol * abs(value)) * 10.0
-
-
-DEFAULT_QUADRATURE = QuadratureSettings()
-
-
-@dataclass(frozen=True)
 class ProductIntegral:
     """A (1/2pi) axis integral, how it was obtained and a bound on its error."""
 
@@ -137,17 +125,14 @@ class ProductIntegral:
     error_estimate: float
 
 
-def adaptive_integral(
-    f: Callable[[float], float],
-    settings: QuadratureSettings = DEFAULT_QUADRATURE,
-) -> ProductIntegral:
+def adaptive_integral(f: Callable[[float], float]) -> ProductIntegral:
     """Adaptive quadrature of ``f`` over the whole real axis.
 
     The substitution w = tan(u) maps the axis onto (-pi/2, pi/2), so
     rational tails (decay at least 1/w^2) are integrated without any
     truncation cutoff.  Returns a ``"quadrature"`` :class:`ProductIntegral`
     carrying the reported error bound, or raises :class:`ConvergenceError`
-    when the requested tolerance cannot be met within ``max_subdivisions``.
+    when the tolerance cannot be met within ``MAX_SUBDIVISIONS`` subintervals.
     """
     # scipy.integrate is imported only when a quadrature runs
     from scipy.integrate import quad
@@ -160,9 +145,9 @@ def adaptive_integral(
         transformed,
         -0.5 * math.pi,
         0.5 * math.pi,
-        epsabs=settings.abs_tol,
-        epsrel=settings.rel_tol,
-        limit=settings.max_subdivisions,
+        epsabs=ABS_TOL,
+        epsrel=REL_TOL,
+        limit=MAX_SUBDIVISIONS,
         full_output=True,
     )
     value, error = out[0], out[1]
@@ -172,7 +157,7 @@ def adaptive_integral(
             estimate=value,
             error_bound=error,
         )
-    if not settings.accepts(value, error):
+    if not accepts(value, error):
         raise ConvergenceError(
             "adaptive integral error bound exceeds the requested tolerance",
             estimate=value,
@@ -263,22 +248,19 @@ def lorentz_product_integral(prod: LorentzProduct) -> ProductIntegral:
     handles repeated poles through derivatives of the reduced product.
     Its ``error_estimate`` is 16 eps times the summed magnitudes of the
     residue terms: it bounds the round-off of the cancellation between
-    them, which grows as distinct poles approach.  When that bound misses
-    :data:`DEFAULT_QUADRATURE` (:meth:`QuadratureSettings.accepts`, the
-    test the adaptive quadrature applies to its own result), the integral
-    falls back to that quadrature under a :class:`DegeneratePolesWarning`
-    and returns its result.
+    them, which grows as distinct poles approach.  When that bound fails
+    :func:`accepts` (the test the adaptive quadrature applies to its own
+    result), the integral falls back to that quadrature under a
+    :class:`DegeneratePolesWarning` and returns its result.
     """
     centers = [line.center for line in prod.factors]
     widths = [line.hwhm for line in prod.factors]
     total, magnitude = _half_plane_sum(centers, widths, 0.0)
     value, error = total.real, _ROUNDOFF * magnitude
-    if DEFAULT_QUADRATURE.accepts(value, error):
+    if accepts(value, error):
         return ProductIntegral(value, "residue", error)
-    warnings.warn(
-        "near-coincident poles: falling back to adaptive quadrature",
-        DegeneratePolesWarning,
-        stacklevel=2,
+    warn_at_caller(
+        "near-coincident poles: falling back to adaptive quadrature", DegeneratePolesWarning
     )
     return adaptive_integral(lambda w: prod.value(w) / TWO_PI)
 
@@ -292,8 +274,8 @@ def lorentz_product_transform(
     a complex array of the same shape.  Exact residue evaluation with the
     poles grouped once per call, and the round-off bound of
     :func:`lorentz_product_integral` at every lag.  When the bound of any
-    lag misses :data:`DEFAULT_QUADRATURE`, the whole call falls back,
-    lag by lag, to the Fourier-weighted quadrature of
+    lag fails :func:`accepts`, the whole call falls back, lag by lag, to
+    the Fourier-weighted quadrature of
     :func:`lorentz_transform_quadrature` under a single warning.
     """
     lags = np.asarray(tau, dtype=float)
@@ -303,11 +285,10 @@ def lorentz_product_transform(
     widths = [line.hwhm for line in prod.factors]
     values, magnitudes = _half_plane_sum(centers, widths, lags)
     bounds = (_ROUNDOFF * magnitudes).ravel().tolist()
-    if not all(map(DEFAULT_QUADRATURE.accepts, np.abs(values).ravel().tolist(), bounds)):
-        warnings.warn(
+    if not all(map(accepts, np.abs(values).ravel().tolist(), bounds)):
+        warn_at_caller(
             "near-coincident poles: transform falls back to adaptive quadrature",
             DegeneratePolesWarning,
-            stacklevel=2,
         )
         values = np.array(
             [lorentz_transform_quadrature(prod, float(t)) for t in lags.flat]
@@ -320,8 +301,8 @@ def lorentz_transform_quadrature(prod: LorentzProduct, tau: float) -> complex:
 
     Splits the axis at zero and hands each oscillatory half-line integral
     to the Fourier-weighted adaptive quadrature (cycle summation with
-    extrapolation), so no truncation cutoff enters.  Zero lag is the
-    :data:`DEFAULT_QUADRATURE` integral; other lags use absolute tolerance 1e-11.
+    extrapolation), so no truncation cutoff enters.  Zero lag is
+    :func:`adaptive_integral`'s; other lags use absolute tolerance 1e-11.
     """
     from scipy.integrate import quad
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -48,7 +47,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cavity import FpiParams, SpectrumGrid
-from .errors import ConfigError, EstimatorVarianceWarning, ParameterError
+from .errors import ConfigError, EstimatorVarianceWarning, ParameterError, warn_at_caller
 from .lorentz import TWO_PI
 from .source import SourceParams, source_linewidth
 
@@ -210,16 +209,14 @@ def _welch_layout(n_runs: int, n_steps: int):
 
     Segments of ``min(SEGMENT_LENGTH, n_steps)`` samples overlap by half
     a segment.  Fewer than 8 segments over the ensemble raise an
-    :class:`EstimatorVarianceWarning` naming the caller of the public
-    estimator that called this function.
+    :class:`EstimatorVarianceWarning`.
     """
     length = min(SEGMENT_LENGTH, n_steps)
     count = (n_steps - length // 2) // (length - length // 2)
     if n_runs * count < 8:
-        warnings.warn(
+        warn_at_caller(
             f"only {n_runs * count} periodogram segments; the estimate variance is high",
             EstimatorVarianceWarning,
-            stacklevel=3,
         )
     # periodic Hann window, as scipy.signal.get_window("hann", length)
     window = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, length + 1))[:-1]

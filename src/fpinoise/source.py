@@ -15,10 +15,9 @@ oscillation threshold.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .errors import AdiabaticityWarning, ParameterError
+from .errors import AdiabaticityWarning, ParameterError, warn_at_caller
 from .lorentz import Lorentzian, lorentz_value
 
 # All rates are expressed in units of the source-cavity escape rate.
@@ -117,11 +116,10 @@ class SourceMicroParams:
         if not (self.rabi > 0.0 and self.gamma_perp > 0.0):
             raise ParameterError("rabi and gamma_perp must be positive")
         if KAPPA_L / (0.5 * self.gamma_perp) >= 0.1:
-            warnings.warn(
+            warn_at_caller(
                 "kappa_l is not small against gamma_perp/2; adiabatic "
                 "elimination of the medium polarization is marginal",
                 AdiabaticityWarning,
-                stacklevel=2,
             )
         if not self.eta > 0.0:
             raise ParameterError(

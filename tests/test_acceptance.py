@@ -19,7 +19,6 @@ import pytest
 
 from fpinoise import (
     FpiParams,
-    QuadratureSettings,
     SourceParams,
     adaptive_integral,
     cavity_autocorr,
@@ -63,7 +62,6 @@ SWEEP = (0.1, 1.5, 5.0, 50.0)
 SOURCES = {p: SourceParams(p_in=p) for p in SWEEP}
 OMEGA_GRID = np.linspace(-10.0, 15.0, 2001)
 TAU_GRID = DEFAULT_TAU_GRID.build()
-TIGHT = QuadratureSettings(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=400)
 
 
 def _report(number: str, label: str, ok: bool, detail: str = "") -> bool:
@@ -99,10 +97,10 @@ class TestCriterion01VarianceSumRule:
             expect_classical, expect_quantum, expect_total = variance_check_values(FPI, src)
             start = time.monotonic()
             classical = adaptive_integral(
-                lambda w: cavity_fluct_components(w, FPI, src)[0] / TWO_PI, TIGHT
+                lambda w: cavity_fluct_components(w, FPI, src)[0] / TWO_PI
             ).value
             quantum = adaptive_integral(
-                lambda w: cavity_fluct_components(w, FPI, src)[1] / TWO_PI, TIGHT
+                lambda w: cavity_fluct_components(w, FPI, src)[1] / TWO_PI
             ).value
             elapsed = time.monotonic() - start
             slowest = max(slowest, elapsed)
@@ -223,7 +221,6 @@ class TestCriterion07ResidueVsQuadrature:
                     * lorentz(u, g)
                     * lorentz(u - d, kt)
                     / TWO_PI,
-                    TIGHT,
                 ).value
                 q1 = adaptive_integral(
                     lambda u: (
@@ -232,14 +229,12 @@ class TestCriterion07ResidueVsQuadrature:
                     )
                     * lorentz(u - d, kt)
                     / (2.0 * TWO_PI),
-                    TIGHT,
                 ).value
                 q2 = adaptive_integral(
                     lambda u: lorentz(u - w, g)
                     * lorentz(u, g)
                     * (lorentz(u - w - d, kt) + lorentz(u - d, kt))
                     / TWO_PI,
-                    TIGHT,
                 ).value
                 worst = max(
                     worst,

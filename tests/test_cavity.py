@@ -8,7 +8,6 @@ import pytest
 from fpinoise import (
     FpiParams,
     ParameterError,
-    QuadratureSettings,
     SourceParams,
     absorbed_fraction,
     absorbed_spectrum,
@@ -28,8 +27,6 @@ from fpinoise.cavity import (
     transmitted_power,
 )
 from fpinoise.lorentz import TWO_PI
-
-TIGHT = QuadratureSettings(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=400)
 
 
 class TestParams:
@@ -52,7 +49,7 @@ class TestCommutatorSpectrum:
         assert commutator_spectrum(fpi.delta, fpi) == pytest.approx(2.0 / 1.1, rel=1e-14)
 
     def test_normalization(self, fpi):
-        est = adaptive_integral(lambda w: commutator_spectrum(w, fpi) / TWO_PI, TIGHT)
+        est = adaptive_integral(lambda w: commutator_spectrum(w, fpi) / TWO_PI)
         assert est.value == pytest.approx(1.0, rel=1e-10)
 
     def test_value_at_zero(self, fpi):
@@ -71,9 +68,7 @@ class TestCavityFieldSpectrum:
     def test_integral_equals_mean_photon_number(self, fpi):
         for p in (0.1, 5.0, 50.0):
             src = SourceParams(p_in=p)
-            est = adaptive_integral(
-                lambda w: cavity_field_spectrum(w, fpi, src) / TWO_PI, TIGHT
-            )
+            est = adaptive_integral(lambda w: cavity_field_spectrum(w, fpi, src) / TWO_PI)
             assert est.value == pytest.approx(mean_photon_number(fpi, src), rel=1e-8)
 
     def test_two_peak_profile_at_strong_drive(self, fpi):
@@ -115,9 +110,7 @@ class TestPortSpectra:
 
     def test_transmitted_integral_scaling(self, fpi):
         src = SourceParams(p_in=5.0)
-        est = adaptive_integral(
-            lambda w: transmitted_spectrum(w, fpi, src) / TWO_PI, TIGHT
-        )
+        est = adaptive_integral(lambda w: transmitted_spectrum(w, fpi, src) / TWO_PI)
         assert est.value == pytest.approx(
             2.0 * fpi.kappa2 * mean_photon_number(fpi, src), rel=1e-8
         )

@@ -25,6 +25,7 @@ from fpinoise import (
     oracle,
     reflected_fluct_spectrum,
     simulate,
+    transmitted_fluct_spectrum,
 )
 from fpinoise.errors import EstimatorVarianceWarning
 from fpinoise.figures import oracle_product
@@ -332,8 +333,10 @@ class TestStreamedOracle:
         assert warned == (expected if n_steps < SEGMENT_LENGTH else [])
 
     def test_few_segments_warn(self, fpi):
-        with pytest.warns(EstimatorVarianceWarning):
+        with pytest.warns(EstimatorVarianceWarning) as record:
             self._run(fpi, n_realizations=2)
+        # the warning names the product's caller, not the product inside the package
+        assert record[0].filename == __file__
         cfg = SimConfig(n_steps=16384, n_realizations=2, burn_in=4096)
         with pytest.warns(EstimatorVarianceWarning) as record:
             streamed_estimate(fpi, SRC5, cfg)
@@ -468,3 +471,34 @@ class TestLagCurves:
         # scaled by 1.05 or 0.95 misses by more than 6 at zero lag
         z = (estimate - target) / stderr
         assert np.max(np.abs(z)) <= 4.0, z
+
+    @pytest.mark.parametrize("port", ("transmitted", "reflected"))
+    def test_photocounts_carry_the_white_floor(self, lag_ensemble, port):
+        # counts N_n ~ Poisson(r_n dt) at the port's power r_n: the rate is
+        # itself random, so the spectrum of N/dt is the rate's colored
+        # spectrum plus its mean, the port's white floor (Mandel's
+        # semiclassical photodetection; Mandel & Wolf, Optical Coherence and
+        # Quantum Optics, 1995, ch. 9 and 14)
+        x, a = lag_ensemble.input_amplitude, lag_ensemble.cavity_amplitude
+        if port == "transmitted":
+            power, spectrum = 2.0 * LAG_FPI.kappa2 * np.abs(a) ** 2, transmitted_fluct_spectrum
+        else:
+            # the midpoint drive pairing of the reflected colored check above
+            field = 0.5 * (x[:, :-1] + x[:, 1:]) - np.sqrt(2.0 * LAG_FPI.kappa1) * a[:, 1:]
+            power, spectrum = np.abs(field) ** 2, reflected_fluct_spectrum
+        dt = LAG_SIM.dt
+        counts = np.random.default_rng(LAG_SIM.seed).poisson(power * dt) / dt
+        spec = welch_route(counts, dt, SEGMENT_LENGTH)
+        per_run = np.array([welch_route(row[None], dt, SEGMENT_LENGTH).values for row in counts])
+        target = spectrum(spec.omegas, LAG_FPI, SRC5).total
+        # the floor is a third (transmitted) or a sixth (reflected) of the
+        # total below |w| = 1 and all of it above 30, below Nyquist at 125.7;
+        # band by band as in the reflected colored check.  Above |w| = 3 the
+        # floor scaled by 1.05 misses by more than 6 standard errors, and the
+        # colored part alone by more than 100
+        for low, high in ((0.0, 1.0), (1.0, 3.0), (3.0, 10.0), (10.0, 30.0), (30.0, 100.0)):
+            band = (np.abs(spec.omegas) > low) & (np.abs(spec.omegas) <= high)
+            error = np.mean(spec.values[band] / target[band] - 1.0)
+            per_run_error = np.mean(per_run[:, band] / target[band] - 1.0, axis=1)
+            stderr = per_run_error.std(ddof=1) / np.sqrt(LAG_SIM.n_realizations)
+            assert abs(error) <= 4.0 * stderr, (low, high, error, stderr)

@@ -5,7 +5,6 @@ import pytest
 
 from fpinoise import (
     ParameterError,
-    QuadratureSettings,
     SourceMicroParams,
     SourceParams,
     adaptive_integral,
@@ -57,7 +56,6 @@ class TestInputSpectrum:
             src = SourceParams(p_in=rng.uniform(0.1, 60), gamma_max=rng.uniform(0.5, 5))
             est = adaptive_integral(
                 lambda w: input_spectrum(w, src) / TWO_PI,
-                QuadratureSettings(rel_tol=1e-11, abs_tol=1e-13, max_subdivisions=400),
             )
             assert est.value == pytest.approx(src.p_in, rel=1e-9)
 
@@ -133,10 +131,12 @@ class TestMicroModel:
             _micro(300.0, 290.0, n_threshold=50.0)  # inversion 280 > 50
 
     def test_adiabaticity_warning(self):
-        with pytest.warns(AdiabaticityWarning):
+        with pytest.warns(AdiabaticityWarning) as record:
             SourceMicroParams(
                 n_emitters=10.0, n_excited=1.0, rabi=0.1, gamma_perp=5.0
             )
+        # the warning names this call, not the dataclass's generated __init__
+        assert record[0].filename == __file__
 
     def test_micro_macro_linewidth_consistency(self, rng):
         # the macro linewidth law applied to the micro power and maximum
