@@ -11,8 +11,11 @@ Subcommands::
     fpinoise sweep                drive-power sweep of scalar summaries
 
 Shared flags: ``--config``, ``--out``, ``--format csv|json``, ``--seed``,
-``--grid-points``.  Exit codes: 0 success, 2 configuration error,
-3 convergence error, 4 I/O error.
+``--grid-points``.  ``--out``, ``--format`` and ``--seed`` are shorthands for
+the keys ``out_dir``, ``format`` and ``seed``, and ``--grid-points N`` sets the
+count of ``grid.omega``; they apply after the config file, through ``set_key``,
+and every configuration error starts with its key.  Exit codes: 0 success,
+2 configuration error, 3 convergence error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import argparse
 import sys
 
 from . import __version__
-from .config import FORMATS, load_config, apply_overrides
+from .config import FORMATS, load_config, set_key
 from .errors import ConfigError, ConvergenceError, ParameterError
 from .figures import FIGURE_IDS, PRODUCT_BUILDERS, energy_split_report, run_figure
 from .output import write_dataset
@@ -63,13 +66,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        cfg = apply_overrides(
-            cfg,
-            out_dir=args.out,
-            fmt=args.format,
-            seed=args.seed,
-            grid_points=args.grid_points,
-        )
+        g, n = cfg.omega_grid, args.grid_points
+        flags = (("out_dir", args.out), ("format", args.format), ("seed", args.seed),
+                 ("grid.omega", None if n is None else f"{g.start!r}:{g.stop!r}:{n}"))
+        for key, value in flags:
+            if value is not None:
+                cfg = set_key(cfg, key, str(value))
         if args.command == "figure":
             datasets = [run_figure(args.figure_id, cfg)]
         else:

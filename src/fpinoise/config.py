@@ -11,6 +11,12 @@ A configuration is a plain text document of ``key = value`` lines with
 An empty document yields the default parameter set: mirror rates
 0.5/0.5, absorption 0.1, detuning 5, maximum source linewidth 3 and
 drive power 1.5, all in kappa_l units.
+
+Config lines, in file order (the last value of a key wins), and the CLI
+flags ``--out``, ``--format``, ``--seed`` and ``--grid-points`` all set
+values through :func:`set_key`, which validates each one and starts every
+error with its key.  A leading byte-order mark is accepted; an empty
+``out_dir`` is not.
 """
 
 from __future__ import annotations
@@ -92,15 +98,14 @@ class RunConfig:
             raise ConfigError(
                 f"format: '{self.format}' is not supported; use one of {', '.join(FORMATS)}"
             )
-
-
-_RECORDS = ("fpi", "source", "sim")
+        if not self.out_dir:
+            raise ConfigError("out_dir: empty; name a directory, e.g. out")
 
 
 def _record_keys() -> dict[str, tuple[str, str, type]]:
     """Config key -> (record, field, type) for every field of the records."""
     keys = {}
-    for group in _RECORDS:
+    for group in ("fpi", "source", "sim"):
         record = type(getattr(RunConfig(), group))
         types = get_type_hints(record)
         for fld in fields(record):
@@ -120,85 +125,64 @@ _KEYS = {
 }
 
 
+def set_key(cfg: RunConfig, key: str, text: str) -> RunConfig:
+    """Return ``cfg`` with one key set from its text and validated.
+
+    Raises :class:`ConfigError` whose message starts with the key; unknown
+    keys list the known ones.
+    """
+    if key not in _KEYS:
+        raise ConfigError(f"unknown key '{key}'; known keys: {', '.join(sorted(_KEYS))}")
+    group, name, parse = _KEYS[key]
+    try:
+        value = parse(text)
+        if group is not None:
+            name, value = group, replace(getattr(cfg, group), **{name: value})
+        return replace(cfg, **{name: value})
+    except ConfigError:
+        raise  # RunConfig's own messages already start with the key
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse a key-value document into a validated :class:`RunConfig`.
 
-    Raises :class:`ConfigError` naming the offending key or record and how
-    to fix it; unknown keys list the known ones.
+    Lines apply in file order through :func:`set_key`: each value is checked
+    as it is read, and the last value of a key wins.
     """
-    updates: dict[str | None, dict[str, object]] = {}
+    cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(
-                f"line {lineno}: expected 'key = value', got {raw.strip()!r}"
-            )
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _KEYS:
-            raise ConfigError(
-                f"unknown key '{key}'; known keys: {', '.join(sorted(_KEYS))}"
-            )
-        group, name, parse = _KEYS[key]
-        try:
-            updates.setdefault(group, {})[name] = parse(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-
-    kwargs = updates.pop(None, {})
-    for group, changed in updates.items():
-        try:
-            kwargs[group] = replace(getattr(RunConfig(), group), **changed)
-        except ParameterError as exc:
-            raise ConfigError(f"{group}.*: {exc}") from exc
-    return RunConfig(**kwargs)
+        cfg = set_key(cfg, key.strip(), value.strip())
+    return cfg
 
 
 def load_config(path: str | None) -> RunConfig:
-    """Read a UTF-8 config file, or return the defaults when ``path`` is None."""
+    """Read a UTF-8 config file (a leading byte-order mark dropped); None gives the defaults."""
     if path is None:
         return RunConfig()
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: byte {exc.start} is not UTF-8; save it as UTF-8") from exc
     return parse_config(text)
 
 
-def apply_overrides(
-    cfg: RunConfig,
-    out_dir: str | None = None,
-    fmt: str | None = None,
-    seed: int | None = None,
-    grid_points: int | None = None,
-) -> RunConfig:
-    """Apply command-line overrides on top of a parsed configuration."""
-    try:
-        if out_dir is not None:
-            cfg = replace(cfg, out_dir=out_dir)
-        if fmt is not None:
-            cfg = replace(cfg, format=fmt)
-        if seed is not None:
-            cfg = replace(cfg, sim=replace(cfg.sim, seed=seed))
-        if grid_points is not None:
-            cfg = replace(cfg, omega_grid=replace(cfg.omega_grid, count=grid_points))
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
-
-
 def config_echo(cfg: RunConfig) -> dict[str, object]:
     """Flat key-value echo of a configuration, for dataset metadata."""
     echo: dict[str, object] = {}
-    for group_name in _RECORDS:
-        group = getattr(cfg, group_name)
-        for fld in fields(group):
-            echo[f"{group_name}.{fld.name}"] = getattr(group, fld.name)
-    echo["grid.omega"] = str(cfg.omega_grid)
-    echo["grid.tau"] = str(cfg.tau_grid)
+    for key, (group, name, _) in _KEYS.items():
+        if group is not None:
+            echo[f"{group}.{name}"] = getattr(getattr(cfg, group), name)
+        elif key.startswith("grid."):
+            echo[key] = str(getattr(cfg, name))
     echo["source.gamma_l"] = source_linewidth(cfg.source)
     return echo

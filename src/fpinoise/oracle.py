@@ -86,7 +86,7 @@ class SimConfig:
         if self.n_steps < 2 or self.n_realizations < 2 or self.burn_in < 0:
             raise ParameterError("n_steps >= 2, n_realizations >= 2, burn_in >= 0 required")
         if not 0 <= self.seed < 2**64:
-            raise ParameterError("seed must fit in 64 bits")
+            raise ParameterError("seed must be an integer in [0, 2**64)")
 
 
 @dataclass(frozen=True)

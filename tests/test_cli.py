@@ -21,7 +21,7 @@ from fpinoise import (
 from fpinoise.autocorr import cavity_autocorr
 from fpinoise.cavity import reflection_coefficient_hwhm, transmission_coefficient_hwhm
 from fpinoise.cli import _build_parser, main
-from fpinoise.config import PRODUCTS, RunConfig, parse_config
+from fpinoise.config import PRODUCTS, GridSpec, RunConfig, parse_config
 from fpinoise.figures import (
     FIGURE_IDS,
     PRODUCT_BUILDERS,
@@ -399,6 +399,30 @@ class TestCliMain:
         assert main(["coeffs", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "byte 14 is not UTF-8" in err
+
+    def test_config_with_a_byte_order_mark_runs(self, tmp_path):
+        cfg_file = tmp_path / "bom.cfg"
+        cfg_file.write_bytes(b"\xef\xbb\xbfsource.p_in = 5\n")
+        assert main(["coeffs", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+        metadata, _, _ = _read_csv(tmp_path / "coeffs.csv")
+        assert metadata["source.p_in"] == "5.00000000e+00"
+
+    def test_empty_out_dir_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("empty.cfg").write_text("out_dir =\n")
+        for argv in (["--config", "empty.cfg"], ["--out", ""]):
+            assert main(["coeffs", *argv]) == 2
+            assert capsys.readouterr().err.startswith("configuration error: out_dir: ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["empty.cfg"]
+
+    def test_grid_points_keeps_the_configured_bounds(self, tmp_path):
+        cfg_file = tmp_path / "grid.cfg"
+        cfg_file.write_text("grid.omega = -10:15.0000001:2001\n")
+        out = tmp_path / "out"
+        argv = ["coeffs", "--config", str(cfg_file), "--out", str(out), "--grid-points", "101"]
+        assert main(argv) == 0
+        metadata, _, _ = _read_csv(out / "coeffs.csv")
+        assert GridSpec.parse(metadata["grid.omega"]) == GridSpec(-10.0, 15.0000001, 101)
 
     def test_config_setting_only_gamma_max_runs(self, tmp_path):
         cfg_file = tmp_path / "line.cfg"

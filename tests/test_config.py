@@ -1,9 +1,13 @@
-"""Configuration parsing, validation and overrides."""
+"""Configuration parsing, validation and the command-line shorthands."""
+
+import re
+from pathlib import Path
 
 import pytest
 
 from fpinoise import ConfigError, FpiParams, SourceParams, parse_config
-from fpinoise.config import GridSpec, RunConfig, apply_overrides, config_echo
+from fpinoise.cli import main
+from fpinoise.config import _KEYS, GridSpec, RunConfig, config_echo, load_config, set_key
 from fpinoise.oracle import SimConfig
 
 KNOWN_KEYS = [
@@ -94,7 +98,9 @@ class TestParse:
         ],
     )
     def test_invariant_violation_names_the_failing_group(self, text):
-        with pytest.raises(ConfigError, match=r"^sim\.\*: "):
+        # the last line's key is the one that fails
+        key = text.splitlines()[-1].partition(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
             parse_config(text)
 
     @pytest.mark.parametrize(
@@ -139,20 +145,92 @@ class TestParse:
 
 
 class TestOverrides:
-    def test_seed_and_grid_points(self):
-        cfg = apply_overrides(parse_config(""), seed=123, grid_points=501)
+    def test_seed_and_grid_points(self, tmp_path):
+        cfg = set_key(parse_config(""), "seed", "123")
         assert cfg.sim.seed == 123
-        assert cfg.omega_grid.count == 501
+        assert set_key(cfg, "grid.omega", "-10:15:501").omega_grid.count == 501
+        argv = ["coeffs", "--out", str(tmp_path), "--seed", "123", "--grid-points", "501"]
+        assert main(argv) == 0
+        text = (tmp_path / "coeffs.csv").read_text()
+        assert "# sim.seed: 123\n" in text and "# grid.omega: -10:15:501\n" in text
 
-    def test_format_and_out(self):
-        cfg = apply_overrides(parse_config(""), out_dir="/tmp/x", fmt="json")
+    def test_format_and_out(self, tmp_path):
+        cfg = set_key(set_key(parse_config(""), "out_dir", "/tmp/x"), "format", "json")
         assert cfg.out_dir == "/tmp/x"
         assert cfg.format == "json"
+        out = tmp_path / "x"
+        assert main(["coeffs", "--out", str(out), "--format", "json"]) == 0
+        assert [path.name for path in out.iterdir()] == ["coeffs.json"]
 
-    def test_invalid_overrides(self):
-        with pytest.raises(ConfigError):
-            apply_overrides(parse_config(""), fmt="xml")
-        with pytest.raises(ConfigError):
-            apply_overrides(parse_config(""), seed=-1)
-        with pytest.raises(ConfigError):
-            apply_overrides(parse_config(""), grid_points=1)
+    def test_invalid_overrides(self, tmp_path, capsys):
+        for key, text in (("format", "xml"), ("seed", "-1"), ("grid.omega", "-10:15:1")):
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+                set_key(parse_config(""), key, text)
+        for flag, value, key in (("--seed", "-1", "seed"), ("--grid-points", "1", "grid.omega")):
+            assert main(["coeffs", "--out", str(tmp_path), flag, value]) == 2
+            assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
+        assert not list(tmp_path.iterdir())
+
+
+# one invalid value for every key
+_INVALID = {
+    "fpi.delta": "nan",
+    "fpi.kappa0": "-1",
+    "fpi.kappa1": "0",
+    "fpi.kappa2": "-0.5",
+    "source.p_in": "-1",
+    "source.gamma_max": "0",
+    "sim.dt": "0",
+    "sim.n_steps": "1",
+    "sim.n_realizations": "2.5",
+    "seed": "-1",
+    "sim.burn_in": "-1",
+    "grid.omega": "1:2",
+    "grid.tau": "0:1:1",
+    "format": "xml",
+    "out_dir": "",
+}
+
+
+class TestSetKey:
+    @pytest.mark.parametrize("key", list(_KEYS))
+    def test_every_key_names_itself(self, key):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+            parse_config(f"fpi.delta = 3\n{key} = {_INVALID[key]}\nsource.p_in = 2")
+
+    def test_seed_message_states_the_range(self):
+        with pytest.raises(ConfigError, match=re.escape("seed: seed must be an integer in [0, 2**64)")):
+            parse_config("seed = -1")
+
+    def test_last_value_wins(self):
+        cfg = parse_config("fpi.delta = 3\nseed = 7\nfpi.delta = -2")
+        assert (cfg.fpi.delta, cfg.sim.seed) == (-2.0, 7)
+
+    def test_each_line_is_checked_as_it_is_read(self):
+        # a later line does not excuse an invalid earlier one
+        with pytest.raises(ConfigError, match=r"^fpi\.kappa1: "):
+            parse_config("fpi.kappa1 = -1\nfpi.kappa1 = 0.5")
+
+    def test_only_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        text = b"source.p_in = 5\nfpi.delta = 2\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_config(str(marked)) == load_config(str(plain)) != RunConfig()
+        marked.write_bytes(text + b"\xef\xbb\xbfseed = 5\n")
+        with pytest.raises(ConfigError, match="unknown key '\ufeffseed'"):
+            load_config(str(marked))
+        # a bad byte is named by its offset in the file, the mark included
+        marked.write_bytes(b"\xef\xbb\xbf" + text + b"\xff\n")
+        with pytest.raises(ConfigError, match="byte 33 is not UTF-8"):
+            load_config(str(marked))
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("Configuration is a plain `key = value` file", 1)[1]
+    block = after.split("```\n", 2)[1]
+    lines = [line.split("#")[0] for line in block.splitlines()]
+    keys = [line.split("=")[0].strip() for line in lines if line.strip()]
+    assert keys and set(keys) <= set(_KEYS)
+    parse_config(block)
