@@ -17,9 +17,9 @@ with pr1 the lag transform of the reflected field spectrum.  The white
 floors never enter the smooth values; they are carried as an explicit
 delta-function weight at zero lag.  Lags may be scalars or arrays: both
 g1 and pr1 are closed forms in the two poles of the drive line times the
-mode response.  The zero-lag values |2 kappa2 g1(0)|^2 = p_t^2 and
-|pr1(0)|^2 = p_r^2 are the squared delta weights, which normalise the
-reflected report here and ``transmitted_norm`` in the ``autocorr`` product.
+mode response, and each curve is an :class:`AutoCorrelation`.  The
+zero-lag values |2 kappa2 g1(0)|^2 = p_t^2 and |pr1(0)|^2 = p_r^2 are the
+squared delta weights; the ``autocorr`` product normalises by them.
 """
 
 from __future__ import annotations
@@ -63,14 +63,6 @@ class AutoCorrelation:
             raise ParameterError("delta_weight must be nonnegative")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class ExponentialFit:
-    """Comparison of a normalized autocorrelation against e^{-rate * tau}."""
-
-    rate: float
-    rms_deviation: float
 
 
 def _line_mode_transform(tau, g: float, k: float, d: float):
@@ -142,31 +134,18 @@ def transmitted_autocorr(fpi: FpiParams, src: SourceParams, taus) -> AutoCorrela
     return AutoCorrelation(taus=taus, values=values, delta_weight=transmitted_power(fpi, src))
 
 
-def reflected_autocorr(
-    fpi: FpiParams, src: SourceParams, taus
-) -> tuple[AutoCorrelation, ExponentialFit]:
-    """Reflected-power autocorrelation plus its exponential-decay report.
+def reflected_autocorr(fpi: FpiParams, src: SourceParams, taus) -> AutoCorrelation:
+    """Reflected-power autocorrelation (colored part only).
 
-    values(tau) = |pr1(tau)|^2 with delta weight p_r.  The report gives
-    the rms deviation of values/values(0) from e^{-2 gamma_l tau}, the
-    pure drive-line self-beat that dominates when little power enters
-    the cavity; values(0) = |pr1(0)|^2 = p_r^2.
+    values(tau) = |pr1(tau)|^2 with delta weight p_r, so values(0) = p_r^2; it
+    nears the drive self-beat p_r^2 e^{-2 gamma_l tau} when little enters the cavity.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     g = source_linewidth(src)
     removed = _line_mode_transform(taus, g, fpi.kappa_t, fpi.delta)
     pr1 = src.p_in * (np.exp(-g * taus) - fpi.removal_rate * removed)
-    values = np.abs(pr1) ** 2
-    rate = 2.0 * g
     p_r = reflected_power(fpi, src)
-    v0 = p_r**2
-    if v0 > 0.0:
-        deviation = values / v0 - np.exp(-rate * taus)
-        rms = float(np.sqrt(np.mean(deviation**2)))
-    else:
-        rms = 0.0
-    ac = AutoCorrelation(taus=taus, values=values, delta_weight=p_r)
-    return ac, ExponentialFit(rate=rate, rms_deviation=rms)
+    return AutoCorrelation(taus=taus, values=np.abs(pr1) ** 2, delta_weight=p_r)
 
 
 def dominant_oscillation_frequency(taus: np.ndarray, values: np.ndarray) -> float:

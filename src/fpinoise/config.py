@@ -52,6 +52,8 @@ class GridSpec:
             raise ParameterError("grid start and stop must be finite")
         if not self.stop > self.start:
             raise ParameterError("grid stop must exceed start")
+        if not isinstance(self.count, (int, np.integer)):
+            raise ParameterError(f"grid point count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ParameterError("grid needs at least 2 points")
 

@@ -270,7 +270,11 @@ def autocorr_product(cfg: RunConfig) -> FigureDataset:
     cav = cavity_autocorr(cfg.fpi, cfg.source, taus)
     tr = transmitted_autocorr(cfg.fpi, cfg.source, taus)
     variance = tr.delta_weight**2  # the zero-lag value p_t^2
-    rf, fit = reflected_autocorr(cfg.fpi, cfg.source, taus)
+    rf = reflected_autocorr(cfg.fpi, cfg.source, taus)
+    # rms deviation of the curve over p_r^2 from the self-beat e^{-2 gamma_l tau}
+    rate = 2.0 * source_linewidth(cfg.source)
+    v0 = rf.delta_weight**2
+    rms = float(np.sqrt(np.mean((rf.values / v0 - np.exp(-rate * taus)) ** 2))) if v0 > 0.0 else 0.0
     return FigureDataset(
         "autocorr",
         {
@@ -286,8 +290,8 @@ def autocorr_product(cfg: RunConfig) -> FigureDataset:
             cfg,
             transmitted_delta_weight=tr.delta_weight,
             reflected_delta_weight=rf.delta_weight,
-            reflected_exp_rate=fit.rate,
-            reflected_exp_rms=fit.rms_deviation,
+            reflected_exp_rate=rate,
+            reflected_exp_rms=rms,
         ),
     )
 

@@ -19,12 +19,12 @@ the colored quantum contribution and the white floors are outside its
 reach by construction.
 
 Realizations run on a thread pool, one worker per usable CPU, each
-generated in chunks of ``CHUNK_LENGTH`` steps.  :func:`streamed_estimate`,
-behind the ``oracle`` product, reduces each realization in the worker
-that generates it to its means and its Welch sums, so it holds no
-ensemble array: its peak memory is, per worker, two float64 rows of
-n_steps and either one chunk's amplitudes or one batch of segment FFTs,
-plus one accumulator of L/2 + 1 bins for segments of L samples.
+generated ``CHUNK_LENGTH`` steps at a time, burn-in too.
+:func:`streamed_estimate`, behind the ``oracle`` product, reduces each
+realization in the worker that generates it to its means and its Welch
+sums, so it holds no ensemble array: its peak memory is, per worker, two
+float64 rows of n_steps and either one chunk's amplitudes or one batch of
+segment FFTs, plus one accumulator of L/2 + 1 bins for L-sample segments.
 :func:`simulate` stacks the same realizations into a :class:`Trajectory`.
 No bit depends on the worker count: realization r draws from its own
 (seed, r) stream, chunked draws and ``lfilter`` calls with carried state
@@ -53,7 +53,7 @@ from .source import SourceParams, source_linewidth
 
 # samples per periodogram segment of the Welch estimate
 SEGMENT_LENGTH = 8192
-# steps generated at a time within a realization, after the burn-in chunk
+# steps generated at a time within a realization, burn-in included
 CHUNK_LENGTH = 2 * SEGMENT_LENGTH
 # Welch segments per batched FFT: glibc malloc reuses 8-segment buffers
 # (0.5 MB at the default segment length) from batch to batch, where it
@@ -82,6 +82,9 @@ class SimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ParameterError("dt must be positive")
+        for name in ("n_steps", "n_realizations", "seed", "burn_in"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # a standard error across realizations needs at least two of them
         if self.n_steps < 2 or self.n_realizations < 2 or self.burn_in < 0:
             raise ParameterError("n_steps >= 2, n_realizations >= 2, burn_in >= 0 required")
@@ -142,8 +145,8 @@ def _realization_chunks(fpi: FpiParams, src: SourceParams, cfg: SimConfig):
     """Generator factory over one realization's stationary drive and cavity amplitudes.
 
     The configuration is validated at the call.  ``chunks(r)`` runs
-    realization ``r``: the burn-in as one chunk, then ``CHUNK_LENGTH``
-    steps at a time, yielding (offset, x, a) for each stationary chunk.
+    realization ``r``, burn-in and stationary steps ``CHUNK_LENGTH`` at a
+    time, yielding (offset, x, a) for each stationary chunk.
     The drive update is the exact discrete-time Ornstein-Uhlenbeck
     solution (exponential decay plus an exactly scaled complex Gaussian
     increment), and the cavity update the exact exponential propagator
@@ -162,8 +165,8 @@ def _realization_chunks(fpi: FpiParams, src: SourceParams, cfg: SimConfig):
     step_std = math.sqrt(src.p_in * (1.0 - decay * decay))
     cavity_decay = np.exp(-lam * cfg.dt)
     drive_gain = math.sqrt(2.0 * fpi.kappa1) * (1.0 - cavity_decay) / lam
-    sizes = [cfg.burn_in] if cfg.burn_in else []
-    sizes += [min(CHUNK_LENGTH, cfg.n_steps - s) for s in range(0, cfg.n_steps, CHUNK_LENGTH)]
+    steps = (cfg.burn_in, cfg.n_steps)
+    sizes = [min(CHUNK_LENGTH, n - s) for n in steps for s in range(0, n, CHUNK_LENGTH)]
 
     def chunks(r: int):
         rng = _stream(cfg.seed, r)

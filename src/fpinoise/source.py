@@ -84,7 +84,7 @@ def source_regime(src: SourceParams) -> str:
 
 @dataclass(frozen=True)
 class SourceMicroParams:
-    """Two-level-medium description of the source.
+    """Two-level-medium description of the source; every field is finite.
 
     n_emitters
         Number of two-level emitters in the gain medium (> 0).
@@ -109,12 +109,18 @@ class SourceMicroParams:
     gamma_perp: float
 
     def __post_init__(self):
+        for name in ("n_emitters", "n_excited", "rabi", "gamma_perp"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.n_emitters > 0.0:
             raise ParameterError("n_emitters must be positive")
         if not 0.0 < self.n_excited <= self.n_emitters:
             raise ParameterError("n_excited must satisfy 0 < n_excited <= n_emitters")
         if not (self.rabi > 0.0 and self.gamma_perp > 0.0):
             raise ParameterError("rabi and gamma_perp must be positive")
+        # rabi * rabi never raises; rabi**2 raises on overflow, and 0.0 divides by zero
+        if not (0.0 < self.rabi * self.rabi < math.inf and 0.0 < self.n_threshold < math.inf):
+            raise ParameterError("n_threshold of rabi and gamma_perp must be finite and positive")
         if KAPPA_L / (0.5 * self.gamma_perp) >= 0.1:
             warn_at_caller(
                 "kappa_l is not small against gamma_perp/2; adiabatic "

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from fpinoise import (
+    AutoCorrelation,
     DegeneratePolesWarning,
     FpiParams,
     ParameterError,
@@ -26,7 +27,7 @@ from fpinoise import (
 )
 from fpinoise.autocorr import _line_mode_transform
 from fpinoise.cavity import reflected_power, transmitted_power
-from fpinoise.config import DEFAULT_TAU_GRID, RunConfig
+from fpinoise.config import DEFAULT_TAU_GRID, GridSpec, RunConfig
 from fpinoise.figures import autocorr_product
 from fpinoise.fluctuations import (
     SpectrumDecomposition,
@@ -119,7 +120,7 @@ class TestNearCoincidentPoles:
             warnings.simplefilter("error", DegeneratePolesWarning)
             cavity = cavity_autocorr(fpi, src, TAUS)
             transmitted = transmitted_autocorr(fpi, src, TAUS)
-            reflected, _ = reflected_autocorr(fpi, src, TAUS)
+            reflected = reflected_autocorr(fpi, src, TAUS)
         with mp.workdps(50):
             line_mode = _mp_line_mode(mp, TAUS, g, fpi.kappa_t, 0.0)
             p_in, kappa_t = mp.mpf(src.p_in), mp.mpf(fpi.kappa_t)
@@ -256,12 +257,30 @@ class TestTransmittedAutocorr:
             assert abs(freq - fpi.delta) / fpi.delta < 0.05
 
 
+# the alternative configuration of test_cli.py's preset checks
+ALT_CONFIG = RunConfig(
+    fpi=FpiParams(kappa0=0.0, delta=-3.0),
+    source=SourceParams(p_in=1.5, gamma_max=1.2),
+    omega_grid=GridSpec(-10.0, 15.0, 201),
+    tau_grid=GridSpec(0.0, 12.0, 101),
+)
+
+
+@pytest.mark.parametrize("lag", [0.7, TAUS], ids=["scalar", "array"])
+@pytest.mark.parametrize("curve", [cavity_autocorr, transmitted_autocorr, reflected_autocorr])
+def test_every_lag_curve_is_an_autocorrelation(fpi, curve, lag):
+    ac = curve(fpi, SourceParams(p_in=1.5), lag)
+    assert type(ac) is AutoCorrelation
+    assert np.array_equal(ac.taus, np.atleast_1d(lag))
+
+
 class TestReflectedAutocorr:
     def test_total_reflection_is_exact_exponential(self):
         fpi = FpiParams(kappa1=0.5, kappa2=0.0, kappa0=0.0, delta=5.0)
         src = SourceParams(p_in=5.0)
-        ac, fit = reflected_autocorr(fpi, src, TAUS)
-        assert fit.rms_deviation == pytest.approx(0.0, abs=1e-12)
+        ds = autocorr_product(RunConfig(fpi=fpi, source=src))
+        assert ds.metadata["reflected_exp_rms"] == pytest.approx(0.0, abs=1e-12)
+        ac = reflected_autocorr(fpi, src, TAUS)
         g = source_linewidth(src)
         assert np.allclose(
             ac.values, src.p_in**2 * np.exp(-2 * g * TAUS), rtol=1e-12, atol=0
@@ -269,13 +288,33 @@ class TestReflectedAutocorr:
 
     def test_exponential_fit_within_five_percent(self, fpi, sweep_sources):
         for src in sweep_sources:
-            _, fit = reflected_autocorr(fpi, src, TAUS)
-            assert fit.rate == pytest.approx(2.0 * source_linewidth(src), rel=1e-14)
-            assert fit.rms_deviation <= 0.05
+            meta = autocorr_product(RunConfig(fpi=fpi, source=src)).metadata
+            assert meta["reflected_exp_rate"] == pytest.approx(
+                2.0 * source_linewidth(src), rel=1e-14
+            )
+            assert meta["reflected_exp_rms"] <= 0.05
+
+    @pytest.mark.parametrize("cfg", [RunConfig(), ALT_CONFIG], ids=["default", "alternative"])
+    def test_report_is_the_rms_of_the_normalised_curve(self, cfg):
+        # bit for bit: the product applies this formula to reflected_autocorr
+        taus = cfg.tau_grid.build()
+        ac = reflected_autocorr(cfg.fpi, cfg.source, taus)
+        rate = 2.0 * source_linewidth(cfg.source)
+        deviation = ac.values / ac.delta_weight**2 - np.exp(-rate * taus)
+        meta = autocorr_product(cfg).metadata
+        assert meta["reflected_exp_rate"] == rate
+        assert meta["reflected_exp_rms"] == float(np.sqrt(np.mean(deviation**2)))
+
+    def test_dark_source_reports_zero_rms_without_warning(self, fpi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ds = autocorr_product(RunConfig(fpi=fpi, source=SourceParams(p_in=0.0)))
+        assert ds.metadata["reflected_delta_weight"] == 0.0
+        assert ds.metadata["reflected_exp_rms"] == 0.0
 
     def test_zero_lag_matches_colored_variance(self, fpi):
         src = SourceParams(p_in=5.0)
-        ac, _ = reflected_autocorr(fpi, src, TAUS)
+        ac = reflected_autocorr(fpi, src, TAUS)
         variance = _cosine_transform_oracle(
             lambda w: reflected_fluct_spectrum(w, fpi, src).colored[0], 0.0
         )
@@ -284,12 +323,12 @@ class TestReflectedAutocorr:
     def test_zero_lag_is_squared_delta_weight(self, fpi, sweep_sources):
         # |pr1(0)|^2 = (R p_in)^2 = p_r^2
         for src in sweep_sources:
-            ac, _ = reflected_autocorr(fpi, src, TAUS)
+            ac = reflected_autocorr(fpi, src, TAUS)
             assert ac.values[0] == pytest.approx(reflected_power(fpi, src) ** 2, rel=1e-12)
 
     def test_delta_weight_is_reflected_power(self, fpi):
         src = SourceParams(p_in=1.5)
-        ac, _ = reflected_autocorr(fpi, src, TAUS)
+        ac = reflected_autocorr(fpi, src, TAUS)
         assert ac.delta_weight == pytest.approx(reflected_power(fpi, src), rel=1e-13)
 
 

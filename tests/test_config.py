@@ -3,9 +3,10 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fpinoise import ConfigError, FpiParams, SourceParams, parse_config
+from fpinoise import ConfigError, FpiParams, ParameterError, SourceParams, parse_config
 from fpinoise.cli import main
 from fpinoise.config import _KEYS, GridSpec, RunConfig, config_echo, load_config, set_key
 from fpinoise.oracle import SimConfig
@@ -109,6 +110,12 @@ class TestParse:
     def test_non_finite_grid_bound_rejected(self, key, spec):
         with pytest.raises(ConfigError, match=rf"^{key}: .*finite"):
             parse_config(f"{key} = {spec}")
+
+    def test_grid_count_must_be_an_integer(self):
+        # 5.5 echoed as 0:1:5.5, which parse rejects, and build() raised TypeError
+        with pytest.raises(ParameterError, match="^grid point count must be an integer"):
+            GridSpec(0.0, 1.0, 5.5)
+        assert GridSpec(0.0, 1.0, np.int64(5)).build().size == 5
 
     def test_known_keys(self):
         with pytest.raises(ConfigError) as info:

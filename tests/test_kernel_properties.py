@@ -126,7 +126,7 @@ def test_quantum_sum_rule_and_zero_lag_identities(
         p_t, p_r = transmitted_power(fpi, src), reflected_power(fpi, src)
         # |2 kappa2 g1(0)|^2 = p_t^2 and |pr1(0)|^2 = p_r^2
         assert abs(transmitted_autocorr(fpi, src, 0.0).values[0] - p_t**2) <= 1e-15 * p_t**2
-        assert abs(reflected_autocorr(fpi, src, 0.0)[0].values[0] - p_r**2) <= 1e-15 * p_r**2
+        assert abs(reflected_autocorr(fpi, src, 0.0).values[0] - p_r**2) <= 1e-15 * p_r**2
 
 
 # The reflected noise p_in^2 [L(w, 2 gamma_l) - B K2 + B^2 K0] is a

@@ -80,6 +80,14 @@ class TestSimulate:
         with pytest.raises(ParameterError, match="n_realizations >= 2"):
             SimConfig(n_realizations=1)
 
+    @pytest.mark.parametrize("field", ["n_steps", "n_realizations", "seed", "burn_in"])
+    def test_integer_fields_reject_floats(self, field):
+        # seed 1.5 ran seed 1's stream; the others failed with a TypeError in the run
+        with pytest.raises(ParameterError, match=f"^{field} must be an integer, got 16384.5"):
+            SimConfig(**{field: 16384.5})
+        value = np.uint64(16384) if field == "seed" else np.int64(16384)
+        assert getattr(SimConfig(**{field: value}), field) == 16384
+
     def test_short_burn_in_rejected(self, fpi):
         with pytest.raises(ConfigError):
             validate_sim_config(SimConfig(burn_in=10), fpi, SRC5)
@@ -104,6 +112,7 @@ class TestSimulate:
         [
             (4096, 0),  # no burn-in chunk
             (2 * CHUNK_LENGTH + 1000, 4096),  # not a multiple of the chunk
+            (4096, 2 * CHUNK_LENGTH + 1000),  # a burn-in of three chunks
             (SimConfig.n_steps, SimConfig.burn_in),  # the default shape
         ],
     )
@@ -386,6 +395,19 @@ class TestStreamedOracle:
 
         one_worker = CHUNK_LENGTH * 48 + 16384 * 8
         assert peak_bytes(2) - peak_bytes(1) <= 1.25 * one_worker
+
+    def test_peak_memory_does_not_grow_with_the_burn_in(self, fpi, monkeypatch):
+        # the burn-in is generated CHUNK_LENGTH steps at a time too; as one
+        # chunk it held its kicks, drive and cavity amplitudes, 2.1 MB more
+        monkeypatch.setattr(oracle, "_worker_count", lambda n_tasks: 1)
+
+        def peak_bytes(burn_in):
+            cfg = SimConfig(n_steps=16384, n_realizations=2, burn_in=burn_in)
+            return self._peak_bytes(fpi, cfg)
+
+        with pytest.warns(EstimatorVarianceWarning):
+            growth = peak_bytes(5 * CHUNK_LENGTH + 123) - peak_bytes(CHUNK_LENGTH)
+        assert growth < 0.25e6
 
 
 class TestThreads:

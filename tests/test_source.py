@@ -1,5 +1,7 @@
 """Source model: linewidth law, output spectrum, micro/macro consistency."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,34 @@ class TestMicroModel:
     def test_above_threshold_rejected(self):
         with pytest.raises(ParameterError):
             _micro(300.0, 290.0, n_threshold=50.0)  # inversion 280 > 50
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_emitters", math.inf),
+            ("n_excited", math.nan),
+            ("rabi", math.inf),
+            ("gamma_perp", math.inf),
+            ("gamma_perp", math.nan),
+        ],
+    )
+    def test_non_finite_field_rejected_by_name(self, field, value):
+        params = dict(n_emitters=100.0, n_excited=10.0, rabi=2.0, gamma_perp=200.0)
+        with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+            SourceMicroParams(**{**params, field: value})
+
+    @pytest.mark.parametrize(
+        "rabi, gamma_perp",
+        [
+            (1e200, 200.0),  # rabi^2 overflows
+            (1e-200, 200.0),  # rabi^2 underflows to 0
+            (1e-5, 1e300),  # gamma_perp / rabi^2 overflows
+            (10.0, 5e-324),  # gamma_perp / rabi^2 underflows to 0
+        ],
+    )
+    def test_threshold_outside_the_float_range_rejected(self, rabi, gamma_perp):
+        with pytest.raises(ParameterError, match="^n_threshold .* must be finite and positive"):
+            SourceMicroParams(n_emitters=100.0, n_excited=10.0, rabi=rabi, gamma_perp=gamma_perp)
 
     def test_adiabaticity_warning(self):
         with pytest.warns(AdiabaticityWarning) as record:
