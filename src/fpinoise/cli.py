@@ -8,7 +8,7 @@ Subcommands::
     fpinoise coeffs               reflection/transmission summary
     fpinoise figure <id>          one bundled figure preset (fig3a..fig9)
     fpinoise oracle               stochastic time-domain cross-check
-    fpinoise sweep                drive-power sweep of scalar summaries
+    fpinoise sweep                drive-power sweep with its transmitted-energy split column
 
 Shared flags: ``--config``, ``--out``, ``--format csv|json``, ``--seed``,
 ``--grid-points``.  ``--out``, ``--format`` and ``--seed`` are shorthands for
@@ -24,10 +24,10 @@ import argparse
 import sys
 
 from . import __version__
-from .config import FORMATS, load_config, set_key
+from .config import load_config, set_key
 from .errors import ConfigError, ConvergenceError, ParameterError
-from .figures import FIGURE_IDS, PRODUCT_BUILDERS, energy_split_report, run_figure
-from .output import write_dataset
+from .figures import FIGURE_IDS, PRODUCT_BUILDERS, run_figure
+from .output import WRITERS, write_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="PATH", help="key-value config file")
     shared.add_argument("--out", metavar="DIR", help="output directory (default: out)")
-    shared.add_argument("--format", choices=FORMATS, help="output encoding")
+    shared.add_argument("--format", choices=tuple(WRITERS), help="output encoding")
     shared.add_argument("--seed", type=int, metavar="U64", help="simulation seed")
     shared.add_argument(
         "--grid-points", type=int, metavar="N", help="frequency grid point count"
@@ -73,14 +73,10 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None:
                 cfg = set_key(cfg, key, str(value))
         if args.command == "figure":
-            datasets = [run_figure(args.figure_id, cfg)]
+            ds = run_figure(args.figure_id, cfg)
         else:
-            datasets = [PRODUCT_BUILDERS[args.command](cfg)]
-            if args.command == "sweep" and cfg.fpi.delta > 0:
-                datasets.append(energy_split_report(datasets[0]))
-        for ds in datasets:
-            path = write_dataset(ds, cfg.out_dir, cfg.format)
-            print(path)
+            ds = PRODUCT_BUILDERS[args.command](cfg)
+        print(write_dataset(ds, cfg.out_dir, cfg.format))
     except (ConfigError, ParameterError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

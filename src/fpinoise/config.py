@@ -30,10 +30,10 @@ import numpy as np
 from .cavity import FpiParams
 from .errors import ConfigError, ParameterError
 from .oracle import SimConfig
+from .output import WRITERS
 from .source import SourceParams, source_linewidth
 
 PRODUCTS = ("spectra", "fluct", "autocorr", "coeffs", "oracle", "sweep")
-FORMATS = ("csv", "json")
 
 # drive powers (in kappa_l units) used by the bundled figure presets
 SWEEP_POWERS = (0.1, 1.5, 5.0, 50.0)
@@ -48,8 +48,9 @@ class GridSpec:
     count: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ParameterError("grid start and stop must be finite")
+        # inf or nan when an end is not finite, and inf when the span overflows
+        if not math.isfinite(self.stop - self.start):
+            raise ParameterError("grid start, stop and span stop - start must be finite")
         if not self.stop > self.start:
             raise ParameterError("grid stop must exceed start")
         if not isinstance(self.count, (int, np.integer)):
@@ -96,10 +97,12 @@ class RunConfig:
                 raise ConfigError(
                     f"outputs: unknown product '{name}'; choose from {', '.join(PRODUCTS)}"
                 )
-        if self.format not in FORMATS:
+        if self.format not in WRITERS:
             raise ConfigError(
-                f"format: '{self.format}' is not supported; use one of {', '.join(FORMATS)}"
+                f"format: '{self.format}' is not supported; use one of {', '.join(WRITERS)}"
             )
+        if self.tau_grid.start < 0.0:
+            raise ConfigError(f"grid.tau: lags must be nonnegative, got {self.tau_grid.start:g}")
         if not self.out_dir:
             raise ConfigError("out_dir: empty; name a directory, e.g. out")
 

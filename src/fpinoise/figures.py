@@ -68,15 +68,15 @@ def energy_split_fraction(fpi: FpiParams, src: SourceParams) -> float:
     """Fraction of the transmitted energy below the inter-peak point delta/2.
 
     Quadrature of the transmitted density over (-inf, delta/2] against
-    the closed-form total; requires a positive detuning so the split
-    point separates the drive-line and mode peaks.  Raises
-    :class:`ConvergenceError` when either quadrature reports failure,
-    as it does for drive lines much narrower than the cavity.
+    the closed-form total.  The split point separates the drive-line and
+    mode peaks only at a positive detuning; elsewhere the fraction is
+    NaN.  Raises :class:`ConvergenceError` when either quadrature reports
+    failure, as it does for drive lines much narrower than the cavity.
     """
     from scipy.integrate import quad
 
     if not fpi.delta > 0.0:
-        raise ParameterError("energy split needs a positive detuning")
+        return math.nan
     total = mean_photon_number(fpi, src)
     if total == 0.0:
         return 0.0
@@ -96,17 +96,6 @@ def energy_split_fraction(fpi: FpiParams, src: SourceParams) -> float:
             error_bound=(tail[1] + body[1]) / total,
         )
     return fraction
-
-
-def energy_split_report(sweep: FigureDataset) -> FigureDataset:
-    """Energy split fractions of a ``sweep`` dataset above p_in 0.5 (NaN unless delta > 0)."""
-    keep = sweep.series["p_in"] > 0.5  # 1.5, 5, 50
-    fractions = sweep.series["energy_split"][keep]
-    return FigureDataset(
-        "energy_split",
-        {"p_in": sweep.series["p_in"][keep], "fraction_below_half_detuning": fractions},
-        sweep.metadata,
-    )
 
 
 def _fig3a(cfg: RunConfig) -> FigureDataset:
@@ -354,7 +343,7 @@ def sweep_product(cfg: RunConfig) -> FigureDataset:
     rows = []
     for p in SWEEP_POWERS:
         src = _sweep_source(cfg, p)
-        split = energy_split_fraction(cfg.fpi, src) if cfg.fpi.delta > 0 else math.nan
+        split = energy_split_fraction(cfg.fpi, src)  # NaN unless delta > 0
         rows.append({"p_in": p, **_coefficient_row(cfg.fpi, src), "energy_split": split})
     return FigureDataset(
         "sweep",

@@ -113,13 +113,15 @@ def validate_sim_config(cfg: SimConfig, fpi: FpiParams, src: SourceParams) -> No
             f"sim.dt = {cfg.dt:g} too coarse for the fastest rate {fastest:g}; "
             f"need dt <= {0.05 / fastest:g}"
         )
-    slowest = min(g, fpi.kappa_t)
-    needed = 10.0 / (cfg.dt * slowest)
+    # a subnormal dt makes the product 0.0 or the quotient inf: no step count suffices
+    span = cfg.dt * min(g, fpi.kappa_t)
+    needed = 10.0 / span if span > 0.0 else math.inf
     if cfg.burn_in < needed:
-        raise ConfigError(
-            f"sim.burn_in = {cfg.burn_in} too short to reach stationarity; "
-            f"need at least {int(math.ceil(needed))} steps"
-        )
+        if math.isfinite(needed):
+            need = f"need at least {math.ceil(needed)} steps"
+        else:
+            need = f"no step count is enough at sim.dt = {cfg.dt:g}"
+        raise ConfigError(f"sim.burn_in = {cfg.burn_in} too short to reach stationarity; {need}")
 
 
 def _stream(seed: int, realization: int) -> np.random.Generator:

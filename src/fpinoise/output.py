@@ -89,11 +89,16 @@ def dataset_to_json(ds: FigureDataset) -> str:
     return json.dumps(payload, indent=1, allow_nan=False) + "\n"
 
 
+# output format name -> serializer; the one list of supported formats
+WRITERS = {"csv": dataset_to_csv, "json": dataset_to_json}
+
+
 def write_dataset(ds: FigureDataset, out_dir: str | Path, fmt: str) -> Path:
-    """Serialize one dataset into ``out_dir`` and return the file path."""
+    """Serialize one dataset into ``out_dir`` and return the path; check ``fmt`` first."""
+    if fmt not in WRITERS:
+        raise ParameterError(f"unknown output format '{fmt}'; use one of {', '.join(WRITERS)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{ds.figure_id}.{fmt}"
-    text = dataset_to_csv(ds) if fmt == "csv" else dataset_to_json(ds)
-    path.write_text(text, encoding="utf-8")
+    path.write_text(WRITERS[fmt](ds), encoding="utf-8")
     return path

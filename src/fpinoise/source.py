@@ -127,6 +127,8 @@ class SourceMicroParams:
                 "elimination of the medium polarization is marginal",
                 AdiabaticityWarning,
             )
+        if not math.isfinite(self.n_emitters / self.n_threshold):  # so eta is finite
+            raise ParameterError(f"n_emitters over n_threshold {self.n_threshold:g} overflows")
         if not self.eta > 0.0:
             raise ParameterError(
                 "population inversion at or above threshold (eta <= 0); "

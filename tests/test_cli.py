@@ -2,9 +2,11 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,8 +14,10 @@ import numpy as np
 import pytest
 
 from fpinoise import (
+    ConfigError,
     ConvergenceError,
     DegeneratePolesWarning,
+    ParameterError,
     SourceParams,
     mean_photon_number,
     source_linewidth,
@@ -21,17 +25,16 @@ from fpinoise import (
 from fpinoise.autocorr import cavity_autocorr
 from fpinoise.cavity import reflection_coefficient_hwhm, transmission_coefficient_hwhm
 from fpinoise.cli import _build_parser, main
-from fpinoise.config import PRODUCTS, GridSpec, RunConfig, parse_config
+from fpinoise.config import PRODUCTS, SWEEP_POWERS, GridSpec, RunConfig, parse_config
 from fpinoise.figures import (
     FIGURE_IDS,
     PRODUCT_BUILDERS,
     base_metadata,
     energy_split_fraction,
-    energy_split_report,
     run_figure,
     sweep_product,
 )
-from fpinoise.output import FigureDataset, write_dataset
+from fpinoise.output import WRITERS, FigureDataset, format_float, write_dataset
 
 
 def _reject_constant(token):
@@ -265,9 +268,13 @@ class TestEnergySplit:
             frac = energy_split_fraction(cfg.fpi, SourceParams(p_in=p))
             assert frac == pytest.approx(target, abs=0.02)
 
-    def test_report_dataset(self):
-        ds = energy_split_report(sweep_product(RunConfig()))
-        assert list(ds.series["p_in"]) == [1.5, 5.0, 50.0]
+    @pytest.mark.parametrize("delta", ["0", "-3"])
+    def test_split_is_nan_without_a_positive_detuning(self, delta):
+        cfg = parse_config(f"fpi.delta = {delta}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(energy_split_fraction(cfg.fpi, SourceParams(p_in=1.5)))
+            assert np.isnan(sweep_product(cfg).series["energy_split"]).all()
 
     def test_narrow_line_quadrature_failure_raises(self):
         # the true fraction is 0.9999658 (30-digit mpmath); quad returns 2.1e-5
@@ -310,11 +317,41 @@ class TestWriters:
             assert main(argv) == 0
         paths = sorted(out.glob("*.json"))
         names = {path.stem for path in paths}
-        assert names == set(PRODUCTS) | ({"energy_split"} if delta == "5" else set())
+        assert names == set(PRODUCTS)
         for path in paths:
             json.loads(path.read_text(), parse_constant=_reject_constant)
         split = json.loads((out / "sweep.json").read_text())["series"]["energy_split"]
         assert (None in split) == (delta == "0")
+
+    def test_unknown_format_raises_before_making_the_directory(self, tmp_path):
+        # "xml" wrote JSON into coeffs.xml
+        ds = PRODUCT_BUILDERS["coeffs"](RunConfig())
+        with pytest.raises(ParameterError, match="unknown output format 'xml'"):
+            write_dataset(ds, tmp_path / "o", "xml")
+        assert not (tmp_path / "o").exists()
+
+    def test_format_names_are_the_writer_table_keys(self):
+        with pytest.raises(ConfigError, match=f"use one of {', '.join(WRITERS)}$"):
+            parse_config("format = xml")
+        assert [parse_config(f"format = {name}").format for name in WRITERS] == list(WRITERS)
+        (sub,) = [a for a in _build_parser()._actions if a.dest == "command"]
+        for command in sub.choices.values():
+            (fmt,) = [a for a in command._actions if a.dest == "format"]
+            assert list(fmt.choices) == list(WRITERS)
+
+    @pytest.mark.filterwarnings("ignore::fpinoise.errors.EstimatorVarianceWarning")
+    @pytest.mark.parametrize("fmt", list(WRITERS))
+    def test_each_command_writes_one_file_named_after_its_dataset(self, tmp_path, capsys, fmt):
+        cfg_file = tmp_path / "small.cfg"
+        cfg_file.write_text(
+            "grid.omega = -10:15:41\ngrid.tau = 0:12:41\n"
+            "sim.n_steps = 16384\nsim.n_realizations = 2\nsim.burn_in = 1024\n"
+        )
+        for name, argv in [*((p, [p]) for p in PRODUCTS), ("fig5a", ["figure", "fig5a"])]:
+            out = tmp_path / name
+            assert main([*argv, "--config", str(cfg_file), "--out", str(out), "--format", fmt]) == 0
+            assert [path.name for path in out.iterdir()] == [f"{name}.{fmt}"]
+            assert capsys.readouterr().out == f"{out / name}.{fmt}\n"
 
     def test_metadata_echo_complete(self, tmp_path):
         cfg = parse_config("source.p_in = 50")
@@ -489,11 +526,17 @@ class TestCliMain:
         assert at_zero[header.index("d2n_classical")] == pytest.approx(0.8731705975, rel=1e-9)
 
     def test_sweep_subcommand_emits_split(self, tmp_path):
+        # the split is a column of sweep.csv; no energy_split.csv repeats it
         out = tmp_path / "out"
         code = main(["sweep", "--out", str(out)])
         assert code == 0
-        assert (out / "sweep.csv").exists()
-        assert (out / "energy_split.csv").exists()
+        assert [path.name for path in out.iterdir()] == ["sweep.csv"]
+        _, header, rows = _read_csv(out / "sweep.csv")
+        fpi = RunConfig().fpi
+        written = [format_float(x) for x in rows[:, header.index("energy_split")]]
+        assert written == [
+            format_float(energy_split_fraction(fpi, SourceParams(p_in=p))) for p in SWEEP_POWERS
+        ]
 
     def test_sweep_with_a_narrow_line_exits_3_and_writes_nothing(self, tmp_path, capsys):
         cfg_file = tmp_path / "narrow.cfg"

@@ -105,11 +105,38 @@ class TestParse:
             parse_config(text)
 
     @pytest.mark.parametrize(
-        "key, spec", [("grid.omega", "-10:inf:5"), ("grid.tau", "-inf:12:5")]
+        "key, spec",
+        [
+            ("grid.omega", "-10:inf:5"),
+            ("grid.tau", "-inf:12:5"),
+            # finite bounds whose span overflows: linspace built [nan, inf, inf, inf, 1e308]
+            ("grid.omega", "-1e308:1e308:5"),
+        ],
     )
     def test_non_finite_grid_bound_rejected(self, key, spec):
         with pytest.raises(ConfigError, match=rf"^{key}: .*finite"):
             parse_config(f"{key} = {spec}")
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            # spectra never reads the lag grid; autocorr named no key
+            ("spectra", "grid.tau = -1:12:601"),
+            # spectra wrote nan and inf rows; fluct named no key
+            ("spectra", "grid.omega = -1e308:1e308:5"),
+            ("fluct", "grid.omega = -1e308:1e308:5"),
+        ],
+    )
+    def test_invalid_grid_exits_2_naming_its_key(self, tmp_path, capsys, command, text):
+        key = text.partition(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+            parse_config(text)
+        cfg_file = tmp_path / "grid.cfg"
+        cfg_file.write_text(f"{text}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
+        assert not out.exists()
 
     def test_grid_count_must_be_an_integer(self):
         # 5.5 echoed as 0:1:5.5, which parse rejects, and build() raised TypeError

@@ -27,6 +27,7 @@ from fpinoise import (
     simulate,
     transmitted_fluct_spectrum,
 )
+from fpinoise.cli import main
 from fpinoise.errors import EstimatorVarianceWarning
 from fpinoise.figures import oracle_product
 from fpinoise.fluctuations import cavity_fluct_components
@@ -91,6 +92,21 @@ class TestSimulate:
     def test_short_burn_in_rejected(self, fpi):
         with pytest.raises(ConfigError):
             validate_sim_config(SimConfig(burn_in=10), fpi, SRC5)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "sim.dt = 1e-320",  # 10 / (dt * slowest rate) overflows to inf
+            "sim.dt = 1e-310\nsource.gamma_max = 1e-10\nsource.p_in = 0",
+            "sim.dt = 5e-324\nsource.gamma_max = 0.1",  # dt * slowest rate underflows to 0
+        ],
+    )
+    def test_subnormal_step_exits_2_as_a_burn_in_error(self, tmp_path, capsys, text):
+        # the step count was converted to an int: OverflowError or ZeroDivisionError, exit 1
+        cfg_file = tmp_path / "sim.cfg"
+        cfg_file.write_text(f"{text}\n")
+        assert main(["oracle", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: sim.burn_in = ")
 
     def test_zero_input_stays_dark(self, fpi):
         traj = simulate(fpi, SourceParams(p_in=0.0), SMALL)

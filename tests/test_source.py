@@ -160,6 +160,13 @@ class TestMicroModel:
         with pytest.raises(ParameterError, match="^n_threshold .* must be finite and positive"):
             SourceMicroParams(n_emitters=100.0, n_excited=10.0, rabi=rabi, gamma_perp=gamma_perp)
 
+    def test_infinite_margin_rejected(self):
+        # eta was 1 + 1e600 = inf, and macro_params_from_medium named no field
+        with pytest.warns(AdiabaticityWarning), pytest.raises(
+            ParameterError, match="^n_emitters over n_threshold 1e-300"
+        ):
+            SourceMicroParams(n_emitters=1e300, n_excited=1.0, rabi=1.0, gamma_perp=1e-300)
+
     def test_adiabaticity_warning(self):
         with pytest.warns(AdiabaticityWarning) as record:
             SourceMicroParams(
