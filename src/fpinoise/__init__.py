@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .autocorr import (
     AutoCorrelation,
     cavity_autocorr,
-    dominant_oscillation_frequency,
     reflected_autocorr,
     transmitted_autocorr,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "cavity_fluctuation_spectrum",
     "classical_noise_kernel",
     "commutator_spectrum",
-    "dominant_oscillation_frequency",
     "emitted_power",
     "input_spectrum",
     "intensity_fluct_spectrum",

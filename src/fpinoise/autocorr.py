@@ -24,14 +24,12 @@ squared delta weights; the ``autocorr`` product normalises by them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cavity import FpiParams, reflected_power, transmitted_power
 from .errors import ParameterError
-from .lorentz import TWO_PI
 from .source import SourceParams, source_linewidth
 
 
@@ -146,31 +144,3 @@ def reflected_autocorr(fpi: FpiParams, src: SourceParams, taus) -> AutoCorrelati
     pr1 = src.p_in * (np.exp(-g * taus) - fpi.removal_rate * removed)
     p_r = reflected_power(fpi, src)
     return AutoCorrelation(taus=taus, values=np.abs(pr1) ** 2, delta_weight=p_r)
-
-
-def dominant_oscillation_frequency(taus: np.ndarray, values: np.ndarray) -> float:
-    """Frequency of the dominant oscillatory component of a lag curve.
-
-    Second differences suppress the smooth decaying envelope while
-    amplifying oscillations by their squared frequency; the peak of a
-    zero-padded Fourier magnitude of the (Hann-windowed) second
-    differences then locates the beat frequency.
-    """
-    taus = np.asarray(taus, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if taus.size < 8:
-        raise ParameterError("need at least 8 lag samples")
-    dt = taus[1] - taus[0]
-    if not np.allclose(np.diff(taus), dt):
-        raise ParameterError("lag grid must be uniform")
-    curvature = np.diff(values, 2)
-    curvature = curvature - curvature.mean()
-    windowed = curvature * np.hanning(curvature.size)
-    n_pad = 1 << max(14, int(math.ceil(math.log2(curvature.size * 8))))
-    spectrum = np.abs(np.fft.rfft(windowed, n_pad))
-    freqs = TWO_PI * np.fft.rfftfreq(n_pad, d=dt)
-    # skip the near-dc residue of the envelope
-    mask = freqs > 0.5 / (taus[-1] - taus[0] + dt) * TWO_PI
-    if not np.any(mask):
-        raise ParameterError("lag range too short to resolve any oscillation")
-    return float(freqs[mask][np.argmax(spectrum[mask])])

@@ -53,6 +53,10 @@ class FpiParams:
             raise ParameterError(f"kappa1 must be positive (input coupling), got {self.kappa1}")
         if self.kappa2 < 0.0 or self.kappa0 < 0.0:
             raise ParameterError("kappa2 and kappa0 must be nonnegative")
+        # B is finite exactly when its numerator 2 kappa1 (kappa2 + kappa0) is,
+        # and that numerator bounds those of R, T and the absorbed fraction
+        if not (math.isfinite(self.kappa_t) and math.isfinite(self.removal_rate)):
+            raise ParameterError("rates too large: kappa_t or 2 kappa1 (kappa2 + kappa0) overflows")
 
     @property
     def kappa_t(self) -> float:

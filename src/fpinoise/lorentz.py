@@ -111,11 +111,6 @@ class LorentzProduct:
         return out
 
 
-def product(*center_width_pairs: tuple[float, float]) -> LorentzProduct:
-    """Shorthand: ``product((c1, k1), (c2, k2), ...)``."""
-    return LorentzProduct(tuple(Lorentzian(c, k) for c, k in center_width_pairs))
-
-
 @dataclass(frozen=True)
 class ProductIntegral:
     """A (1/2pi) axis integral, how it was obtained and a bound on its error."""

@@ -118,7 +118,8 @@ def validate_sim_config(cfg: SimConfig, fpi: FpiParams, src: SourceParams) -> No
     needed = 10.0 / span if span > 0.0 else math.inf
     if cfg.burn_in < needed:
         if math.isfinite(needed):
-            need = f"need at least {math.ceil(needed)} steps"
+            count = math.ceil(needed)
+            need = f"need at least {count if count < 1e15 else f'{needed:.3e}'} steps"
         else:
             need = f"no step count is enough at sim.dt = {cfg.dt:g}"
         raise ConfigError(f"sim.burn_in = {cfg.burn_in} too short to reach stationarity; {need}")
@@ -314,23 +315,13 @@ def _mean_and_stderr(per_run: np.ndarray) -> tuple[float, float]:
     return float(per_run.mean()), float(per_run.std(ddof=1) / math.sqrt(per_run.size))
 
 
-def stationary_input_power(traj: Trajectory) -> tuple[float, float]:
-    """Ensemble mean of |x|^2 and its standard error across realizations."""
-    return _mean_and_stderr(np.mean(np.abs(traj.input_amplitude) ** 2, axis=1))
-
-
-def stationary_photon_number(traj: Trajectory) -> tuple[float, float]:
-    """Ensemble mean of |a|^2 and its standard error across realizations."""
-    return _mean_and_stderr(np.mean(np.abs(traj.cavity_amplitude) ** 2, axis=1))
-
-
 def streamed_estimate(
     fpi: FpiParams, src: SourceParams, cfg: SimConfig
 ) -> tuple[SpectrumGrid, tuple[float, float], tuple[float, float]]:
     """Cavity intensity spectrum, input power and photon number, one realization at a time.
 
-    Equal bit for bit to :func:`intensity_fluct_spectrum`,
-    :func:`stationary_input_power` and :func:`stationary_photon_number`
+    Equal bit for bit to :func:`intensity_fluct_spectrum` and the test
+    routes ``stationary_input_power`` and ``stationary_photon_number``
     applied to :func:`simulate`, but no ensemble array is held: a worker
     records one realization's |x|^2 and |a|^2 chunk by chunk into its own
     two rows and reduces them to their means and the realization's Welch

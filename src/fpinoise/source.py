@@ -44,8 +44,9 @@ class SourceParams:
     gamma_max: float = 3.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.p_in) and self.p_in >= 0.0):
-            raise ParameterError(f"p_in must be nonnegative, got {self.p_in}")
+        # the noise spectra scale as p_in^2
+        if not (math.isfinite(self.p_in * self.p_in) and self.p_in >= 0.0):
+            raise ParameterError(f"p_in must be nonnegative with a finite square, got {self.p_in}")
         if not (math.isfinite(self.gamma_max) and self.gamma_max > 0.0):
             raise ParameterError(f"gamma_max must be positive, got {self.gamma_max}")
 

@@ -6,17 +6,20 @@ spectra and a trapezoidal cosine transform with a rational 1/w^2 tail
 correction for the lag autocorrelations.  Both refuse, with
 :class:`CoverageError`, grids that truncate too much of the
 spectrum.  ``lorentz_convolve`` is the two-line closed form that checks
-the residue engine and the quadrature, and ``variance_check_values``
-gives the targets of the variance sum rules.  The quantum and reflection
+the residue engine and the quadrature, ``product((c1, k1), ...)`` is the
+shorthand the tests build Lorentzian products with, and
+``variance_check_values`` gives the targets of the variance sum rules.  The quantum and reflection
 noise kernels K1 and K2 have two reference routes here: per-point
 residue sums of their defining Lorentzian products, and an ``mpmath``
 quadrature of their defining integrals at any working precision; K0 has
-the same ``mpmath`` route.  ``lorentz_value_route``,
+the same ``mpmath`` route.  ``dominant_oscillation_frequency`` reads
+the beat frequency off a lag curve.  ``lorentz_value_route``,
 ``product_value_route`` and ``half_plane_sum_route`` are the residue
 engine as it was before its scalar fast paths (every point through a 0-d
 numpy array, both half-planes grouped), which the engine must match bit
-for bit.  For
-the stochastic oracle, ``welch_route`` is the per-row
+for bit.  For the stochastic oracle, ``stationary_input_power`` and
+``stationary_photon_number`` are the ensemble means, with standard
+errors, of a :class:`Trajectory`, and ``welch_route`` is the per-row
 ``scipy.signal.welch`` estimate that checks the batched FFT estimate,
 and the estimator for any intensity other than |a|^2 or any segment
 length other than ``SEGMENT_LENGTH``; ``complex_kick_realization``
@@ -46,9 +49,8 @@ from fpinoise.lorentz import (
     lorentz_product_integral,
     lorentz_value,
     map_over_omega,
-    product,
 )
-from fpinoise.oracle import SimConfig, _stream
+from fpinoise.oracle import SimConfig, Trajectory, _mean_and_stderr, _stream
 from fpinoise.source import SourceParams, source_linewidth
 
 # Acceptable truncated tail mass, as a fraction of the total integrand
@@ -78,6 +80,11 @@ def lorentz_convolve(shift: float, g1: float, g2: float) -> float:
     if not (g1 > 0.0 and g2 > 0.0):
         raise ParameterError(f"convolution widths must be positive, got {g1}, {g2}")
     return lorentz_value(shift, Lorentzian(0.0, g1 + g2))
+
+
+def product(*center_width_pairs: tuple[float, float]) -> LorentzProduct:
+    """Shorthand: ``product((c1, k1), (c2, k2), ...)``."""
+    return LorentzProduct(tuple(Lorentzian(c, k) for c, k in center_width_pairs))
 
 
 def _check_coverage(grid: SpectrumGrid, label: str) -> None:
@@ -360,6 +367,44 @@ def autocorr_from_spectrum(spec: SpectrumDecomposition, taus) -> AutoCorrelation
         classical=classical,
         quantum=quantum,
     )
+
+
+def dominant_oscillation_frequency(taus: np.ndarray, values: np.ndarray) -> float:
+    """Frequency of the dominant oscillatory component of a lag curve.
+
+    Second differences suppress the smooth decaying envelope while
+    amplifying oscillations by their squared frequency; the peak of a
+    zero-padded Fourier magnitude of the (Hann-windowed) second
+    differences then locates the beat frequency.
+    """
+    taus = np.asarray(taus, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if taus.size < 8:
+        raise ParameterError("need at least 8 lag samples")
+    dt = taus[1] - taus[0]
+    if not np.allclose(np.diff(taus), dt):
+        raise ParameterError("lag grid must be uniform")
+    curvature = np.diff(values, 2)
+    curvature = curvature - curvature.mean()
+    windowed = curvature * np.hanning(curvature.size)
+    n_pad = 1 << max(14, int(math.ceil(math.log2(curvature.size * 8))))
+    spectrum = np.abs(np.fft.rfft(windowed, n_pad))
+    freqs = TWO_PI * np.fft.rfftfreq(n_pad, d=dt)
+    # skip the near-dc residue of the envelope
+    mask = freqs > 0.5 / (taus[-1] - taus[0] + dt) * TWO_PI
+    if not np.any(mask):
+        raise ParameterError("lag range too short to resolve any oscillation")
+    return float(freqs[mask][np.argmax(spectrum[mask])])
+
+
+def stationary_input_power(traj: Trajectory) -> tuple[float, float]:
+    """Ensemble mean of |x|^2 and its standard error across realizations."""
+    return _mean_and_stderr(np.mean(np.abs(traj.input_amplitude) ** 2, axis=1))
+
+
+def stationary_photon_number(traj: Trajectory) -> tuple[float, float]:
+    """Ensemble mean of |a|^2 and its standard error across realizations."""
+    return _mean_and_stderr(np.mean(np.abs(traj.cavity_amplitude) ** 2, axis=1))
 
 
 def welch_route(intensity: np.ndarray, dt: float, segment_length: int) -> SpectrumGrid:

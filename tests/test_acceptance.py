@@ -24,7 +24,6 @@ from fpinoise import (
     adaptive_integral,
     cavity_autocorr,
     cavity_fluctuation_spectrum,
-    dominant_oscillation_frequency,
     input_spectrum,
     mean_photon_number,
     reflected_fluct_spectrum,
@@ -52,10 +51,9 @@ from fpinoise.oracle import (
     SimConfig,
     intensity_fluct_spectrum,
     simulate,
-    stationary_photon_number,
 )
 from fpinoise.source import SourceMicroParams, macro_params_from_medium
-from routes import variance_check_values
+from routes import dominant_oscillation_frequency, stationary_photon_number, variance_check_values
 
 FPI = FpiParams()
 SWEEP = (0.1, 1.5, 5.0, 50.0)

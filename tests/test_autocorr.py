@@ -17,7 +17,6 @@ from fpinoise import (
     cavity_field_spectrum,
     cavity_fluctuation_spectrum,
     commutator_spectrum,
-    dominant_oscillation_frequency,
     lorentz_product_transform,
     mean_photon_number,
     reflected_autocorr,
@@ -33,9 +32,8 @@ from fpinoise.fluctuations import (
     SpectrumDecomposition,
     cavity_fluct_components,
 )
-from fpinoise.lorentz import product
 from fpinoise.source import source_linewidth
-from routes import CoverageError, autocorr_from_spectrum
+from routes import CoverageError, autocorr_from_spectrum, dominant_oscillation_frequency, product
 
 TAUS = DEFAULT_TAU_GRID.build()
 

@@ -43,6 +43,19 @@ class TestParams:
         with pytest.raises(ParameterError):
             FpiParams(kappa0=-0.1)
 
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            {"kappa1": 1e308},  # 2 kappa1 (kappa2 + kappa0) overflows: R, T and B were nan
+            {"kappa1": 1e308, "kappa2": 1e308},
+            {"kappa2": 1.7e308, "kappa0": 1.7e308},  # kappa_t overflows
+        ],
+    )
+    def test_overflowing_rates_rejected(self, rates):
+        with pytest.raises(ParameterError, match="^rates too large"):
+            FpiParams(**rates)
+        assert FpiParams(kappa1=1e300).kappa_t == 1e300
+
 
 class TestCommutatorSpectrum:
     def test_peak_at_detuning(self, fpi):

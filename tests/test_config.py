@@ -18,6 +18,19 @@ KNOWN_KEYS = [
 ]
 
 
+def _assert_exits_2_naming_first_key(tmp_path, capsys, command, text):
+    """``command`` with the config ``text`` exits 2, and both errors start with its first key."""
+    key = text.partition(" = ")[0]
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+        parse_config(text)
+    cfg_file = tmp_path / "value.cfg"
+    cfg_file.write_text(f"{text}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
+    assert not out.exists()
+
+
 class TestParse:
     def test_empty_document_gives_defaults(self):
         cfg = parse_config("")
@@ -128,15 +141,22 @@ class TestParse:
         ],
     )
     def test_invalid_grid_exits_2_naming_its_key(self, tmp_path, capsys, command, text):
-        key = text.partition(" = ")[0]
-        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
-            parse_config(text)
-        cfg_file = tmp_path / "grid.cfg"
-        cfg_file.write_text(f"{text}\n")
-        out = tmp_path / "out"
-        assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
-        assert not out.exists()
+        _assert_exits_2_naming_first_key(tmp_path, capsys, command, text)
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            # coeffs wrote nan columns, sweep raised scipy's ValueError, fluct exited 3
+            *[(c, "fpi.kappa1 = 1e308") for c in ("coeffs", "sweep", "fluct")],
+            # spectra and fluct said "Lorentzian hwhm must be positive, got inf"
+            *[(c, "fpi.kappa1 = 1e308\nfpi.kappa2 = 1e308") for c in ("coeffs", "sweep", "fluct")],
+            # p_in**2 raised OverflowError
+            ("fluct", "source.p_in = 1e160"),
+            ("autocorr", "source.p_in = 1e160"),
+        ],
+    )
+    def test_overflowing_value_exits_2_naming_its_key(self, tmp_path, capsys, command, text):
+        _assert_exits_2_naming_first_key(tmp_path, capsys, command, text)
 
     def test_grid_count_must_be_an_integer(self):
         # 5.5 echoed as 0:1:5.5, which parse rejects, and build() raised TypeError

@@ -29,7 +29,7 @@ from fpinoise.fluctuations import (
     cavity_fluct_components,
     fluct_spectra,
 )
-from fpinoise.lorentz import TWO_PI, product
+from fpinoise.lorentz import TWO_PI
 from fpinoise.source import source_linewidth
 from routes import (
     CoverageError,
@@ -38,6 +38,7 @@ from routes import (
     half_plane_sum_route,
     mp_classical_kernel,
     mp_commutator_kernels,
+    product,
     product_value_route,
     residue_commutator_kernels,
     variance_check_values,

@@ -44,9 +44,9 @@ from fpinoise import (  # noqa: E402
 )
 from fpinoise.autocorr import _line_mode_transform  # noqa: E402
 from fpinoise.cavity import reflected_power, transmitted_power  # noqa: E402
-from fpinoise.lorentz import accepts, product  # noqa: E402
+from fpinoise.lorentz import accepts  # noqa: E402
 from fpinoise.source import KAPPA_L, source_linewidth  # noqa: E402
-from routes import mp_classical_kernel, mp_commutator_kernels  # noqa: E402
+from routes import mp_classical_kernel, mp_commutator_kernels, product  # noqa: E402
 
 
 def _log_uniform(lo_exp: float, hi_exp: float):

@@ -19,13 +19,14 @@ from fpinoise import (
 )
 import fpinoise.lorentz as lorentz
 from fpinoise.config import DEFAULT_TAU_GRID
-from fpinoise.lorentz import TWO_PI, lorentz_transform_quadrature, map_over_omega, product
+from fpinoise.lorentz import TWO_PI, lorentz_transform_quadrature, map_over_omega
 from fpinoise.source import source_linewidth
 from routes import (
     half_plane_sum_route,
     lorentz_convolve,
     lorentz_value_route,
     mp_classical_kernel,
+    product,
     product_value_route,
 )
 

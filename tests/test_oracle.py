@@ -34,13 +34,16 @@ from fpinoise.fluctuations import cavity_fluct_components
 from fpinoise.oracle import (
     CHUNK_LENGTH,
     SEGMENT_LENGTH,
-    stationary_input_power,
-    stationary_photon_number,
     streamed_estimate,
     validate_sim_config,
 )
 from fpinoise.source import source_linewidth
-from routes import complex_kick_realization, welch_route
+from routes import (
+    complex_kick_realization,
+    stationary_input_power,
+    stationary_photon_number,
+    welch_route,
+)
 
 SRC5 = SourceParams(p_in=5.0)
 SMALL = SimConfig(n_steps=16384, n_realizations=8, burn_in=4096)
@@ -92,6 +95,17 @@ class TestSimulate:
     def test_short_burn_in_rejected(self, fpi):
         with pytest.raises(ConfigError):
             validate_sim_config(SimConfig(burn_in=10), fpi, SRC5)
+
+    def test_burn_in_error_prints_a_large_count_in_short_form(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="need at least 2000 steps$"):
+            validate_sim_config(SimConfig(burn_in=10), FpiParams(), SourceParams(p_in=5.0))
+        # the count had 302 digits
+        cfg_file = tmp_path / "sim.cfg"
+        cfg_file.write_text("sim.dt = 1e-300\n")
+        assert main(["oracle", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: sim.burn_in = ")
+        assert len(err.encode()) < 200
 
     @pytest.mark.parametrize(
         "text",
@@ -302,8 +316,8 @@ class TestWelchEstimate:
             "from fpinoise.figures import energy_split_fraction\n"
             "energy_split_fraction(fpinoise.FpiParams(), fpinoise.SourceParams(p_in=5.0))",
             # distinct poles 1e-10 apart: the residue sum falls back to quadrature
-            "from fpinoise.lorentz import lorentz_product_integral, product\n"
-            "lorentz_product_integral(product((0.0, 1.0), (1e-10, 1.0)))",
+            "from fpinoise.lorentz import LorentzProduct, Lorentzian, lorentz_product_integral\n"
+            "lorentz_product_integral(LorentzProduct((Lorentzian(0.0, 1.0), Lorentzian(1e-10, 1.0))))",
         ],
     )
     def test_scipy_integrate_loads_only_when_a_quadrature_runs(self, call):

@@ -47,6 +47,12 @@ class TestLinewidth:
         with pytest.raises(ParameterError):
             SourceParams(p_in=1.0, gamma_max=0.0)
 
+    def test_power_with_an_overflowing_square_rejected(self):
+        # the noise spectra scale as p_in^2, which raised OverflowError
+        with pytest.raises(ParameterError, match="^p_in must be nonnegative with a finite square"):
+            SourceParams(p_in=1.4e154)
+        assert SourceParams(p_in=1.3e154).p_in == 1.3e154
+
 
 class TestInputSpectrum:
     def test_peak_value(self):
