@@ -86,8 +86,9 @@ def _line_mode_transform(tau, g: float, k: float, d: float):
     slow, fast = (g, b) if k >= g else (b, g)
     z = -(fast - slow) * lags
     small = np.abs(z) < 1e-5
-    safe = np.where(small, 1.0, z)
-    phi1 = np.where(small, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(safe) / safe)
+    # each branch sees only its own lags, so the unused one cannot overflow
+    series, safe = np.where(small, z, 0.0), np.where(small, 1.0, z)
+    phi1 = np.where(small, 1.0 + series / 2.0 + series * series / 6.0, np.expm1(safe) / safe)
     line = 2.0 * (k + g) / ((g + b.conjugate()) * (g + b))
     mixed = 2.0 * g / (g + b)
     values = line * np.exp(-g * lags) + mixed * lags * np.exp(-slow * lags) * phi1

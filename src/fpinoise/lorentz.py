@@ -8,10 +8,10 @@ with center ``w0`` and half width at half maximum ``k``.  Everything in
 this package reduces to integrals of products of a few such lines over
 the whole frequency axis.  Those integrals are rational and are computed
 exactly here by closing the contour in one half-plane and summing
-residues, including repeated poles.  An adaptive quadrature over the
-infinite axis (tangent substitution, no truncation cutoff) is the
-independent cross-check, and the fallback of a residue sum whose
-round-off bound misses the one tolerance (:func:`accepts`).
+residues, including repeated poles, and close poles as one divided
+difference.  An adaptive quadrature over the infinite axis (tangent
+substitution, no truncation cutoff) is the independent cross-check, and
+the safety net of a sum whose error bound misses the tolerance (:func:`accepts`).
 
 All frequencies and rates are dimensionless, expressed in units of the
 source-cavity escape rate; see :data:`KAPPA_L_RAD_PER_SEC`.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,11 +34,15 @@ TWO_PI = 2.0 * math.pi
 # numerics never touch it.
 KAPPA_L_RAD_PER_SEC = 4.0e11
 
-# Poles closer than GROUP_FACTOR * (sum of widths) are treated as one
-# pole of higher multiplicity.  Distinct poles just farther apart give
-# residue terms that cancel; their round-off bound below then misses the
-# quadrature tolerance and quadrature takes over.
+# Over lags, poles closer than GROUP_FACTOR * (sum of widths) are treated
+# as one pole of higher multiplicity.  Distinct poles just farther apart
+# give residue terms that cancel, whose round-off bound below then misses
+# the tolerance, and quadrature takes over.  Zero lag sums them by cluster.
 GROUP_FACTOR = 1e-12
+
+# Lower-half-plane poles form a cluster when their spread r about their
+# mean c is at most CLUSTER_RATIO times c's distance R to any other pole.
+CLUSTER_RATIO = 1.0 / 16.0
 
 # Round-off of one residue term, relative to its magnitude.
 _ROUNDOFF = 16.0 * math.ulp(1.0)
@@ -175,39 +180,93 @@ def _group_poles(poles: Sequence[complex], tol: float) -> list[list]:
     return groups
 
 
+def _clusters(lower: list, upper: list) -> list[tuple]:
+    """(members, others, c, r/R, R) of the largest clusters: below 1/3 they nest or are disjoint."""
+    found: list[tuple] = []
+    for size in range(len(lower), 1, -1):
+        for idx in combinations(range(len(lower)), size):
+            members = [lower[i] for i in idx]
+            others = [g for j, g in enumerate(lower + upper) if j not in idx]
+            mean = sum(p * m for p, m in members) / sum(m for _, m in members)
+            spread = max(abs(p - mean) for p, _ in members)
+            nearest = min(abs(mean - q) for q, _ in others)
+            taken = any(g in cluster[0] for cluster in found for g in members)
+            if spread <= CLUSTER_RATIO * nearest < math.inf and not taken:
+                found.append((members, others, mean, spread / nearest, nearest))
+    return found
+
+
+def _cluster_sum(prefactor, members, others, mean, rho, nearest) -> tuple:
+    """Sum, summed term magnitudes and tail bound of one cluster's residues.
+
+    Its m residues sum to the divided difference h[p_1..p_m] of h(z) =
+    prefactor / prod over the poles q outside, R^{1-m} sum_j a_{m-1+j}
+    H_j(t/R): a_n are the Taylor coefficients of h(c + R u), H_j the
+    complete homogeneous symmetric polynomials of the offsets t = p - c.
+    Term j is below |h(c)| C(M, m-1) C(M+j, j) rho^j R^{1-m} (M + 2 poles),
+    so the sum stops once the tail bound C(M+J, J) rho^J / (1 - rho
+    (M+J+1)/(J+1)) is below 16 eps.
+    """
+    m = sum(mult for _, mult in members)
+    big_m, count, tail = m - 2 + sum(mq for _, mq in others), 0, 1.0
+    # tail = C(M + count, count) rho^count; step is the ratio of the next to it
+    while (step := rho * (big_m + count + 1) / (count + 1)) >= 1 or tail > _ROUNDOFF * (1 - step):
+        count, tail = count + 1, tail * step
+    h0 = prefactor / math.prod((mean - q) ** mq for q, mq in others)
+    scaled = [(nearest / (q - mean), mq) for q, mq in others]
+    s = [sum(mq * x ** (j + 1) for x, mq in scaled) for j in range(m + count - 2)]
+    a = [h0]
+    for n in range(m + count - 2):
+        a.append(sum(a[k] * s[n - k] for k in range(n + 1)) / (n + 1))
+    hs = [1.0] + [0.0] * (count - 1)
+    for t in [(p - mean) / nearest for p, mult in members for _ in range(mult)]:
+        for j in range(1, count):
+            hs[j] += t * hs[j - 1]
+    terms = [a[m - 1 + j] * hs[j] for j in range(count)]
+    bound = abs(h0) * math.comb(big_m, m - 1) * tail / (1.0 - step)
+    return tuple(x / nearest ** (m - 1) for x in (sum(terms), sum(map(abs, terms)), bound))
+
+
 def _half_plane_sum(
-    centers: Sequence[float],
-    widths: Sequence[float],
+    factors: Sequence[Lorentzian],
     tau: float | np.ndarray,
+    clustered: bool = False,
 ) -> tuple[complex | np.ndarray, float | np.ndarray]:
     """Sum of residues needed for (1/2pi) * integral prod_i L(w - c_i, k_i) e^{-i w tau} dw.
 
     For tau >= 0 the contour closes in the lower half-plane; for tau == 0
-    either closure works and the lower one is kept.  Poles within
-    ``GROUP_FACTOR`` of the summed widths form one pole of higher
-    multiplicity.  Two modes: the float ``tau`` 0.0 of
-    :func:`lorentz_product_integral` stays on plain complex arithmetic,
-    which is faster for the one-point integrals of the noise kernels; an
-    ndarray of lags (0-d included) is grouped once and gives arrays.
-    Returns the sum and the summed magnitudes of its residue terms, which
-    measure the cancellation between them.
+    either closure works and the lower one is kept.  Two modes: the float
+    ``tau`` 0.0 of :func:`lorentz_product_integral` stays on plain complex
+    arithmetic, faster for the one-point integrals of the noise kernels
+    (``clustered`` sums close poles by :func:`_cluster_sum`); an ndarray of
+    lags (0-d included) groups its poles once and gives arrays.  Returns
+    the sum and its error bound: ``_ROUNDOFF`` times the summed term
+    magnitudes (their cancellation), plus the clusters' tail bounds.
     """
-    group_tol = GROUP_FACTOR * float(sum(widths))
-
-    lower_groups = _group_poles([complex(c, -k) for c, k in zip(centers, widths)], group_tol)
+    # None: the scalar lag is zero and has unit phase
+    exp = np.exp if isinstance(tau, np.ndarray) else None
+    lower = [complex(line.center, -line.hwhm) for line in factors]
+    # lags merge within GROUP_FACTOR of the summed widths (-Im p), zero lag
+    # only repeats, up to the round-off of a running mean
+    tol = -GROUP_FACTOR * sum(p.imag for p in lower) if exp else _ROUNDOFF * max(map(abs, lower))
+    lower_groups = _group_poles(lower, tol)
     # the running-mean grouping commutes with conjugation
     upper_groups = [[p.conjugate(), m] for p, m in lower_groups]
 
     prefactor = 1.0
-    for k in widths:
-        prefactor *= 2.0 * k
+    for line in factors:
+        prefactor *= 2.0 * line.hwhm
 
-    # None: the scalar lag is zero and has unit phase
-    exp = np.exp if isinstance(tau, np.ndarray) else None
     all_groups = lower_groups + upper_groups
     total = 0.0 + 0.0j
-    magnitude = 0.0
+    magnitude = truncation = 0.0
+    clusters = _clusters(lower_groups, upper_groups) if clustered else ()
+    for cluster in clusters:
+        term, size, bound = _cluster_sum(prefactor, *cluster)
+        total, magnitude, truncation = total + term, magnitude + size, truncation + bound
     for i, (pole, mult) in enumerate(lower_groups):
+        if clusters and any(lower_groups[i] in cluster[0] for cluster in clusters):
+            continue
         others = all_groups[:i] + all_groups[i + 1 :]
         # H(z) = C e^{-i z tau} prod (z - q)^{-mq}; residue = H^{(m-1)}(pole)/(m-1)!
         h0 = prefactor if exp is None else prefactor * exp(-1j * pole * tau)
@@ -233,7 +292,7 @@ def _half_plane_sum(
         magnitude += abs(term)
     # closing downward turns the contour clockwise: -2pi i * sum, and the
     # 1/2pi normalization leaves -i * sum
-    return -1j * total, magnitude
+    return -1j * total, _ROUNDOFF * magnitude + truncation
 
 
 def lorentz_product_integral(prod: LorentzProduct) -> ProductIntegral:
@@ -242,18 +301,21 @@ def lorentz_product_integral(prod: LorentzProduct) -> ProductIntegral:
     The residue sum over one half-plane is exact for distinct poles and
     handles repeated poles through derivatives of the reduced product.
     Its ``error_estimate`` is 16 eps times the summed magnitudes of the
-    residue terms: it bounds the round-off of the cancellation between
-    them, which grows as distinct poles approach.  When that bound fails
-    :func:`accepts` (the test the adaptive quadrature applies to its own
-    result), the integral falls back to that quadrature under a
-    :class:`DegeneratePolesWarning` and returns its result.
+    residue terms: it bounds the round-off of their cancellation, which
+    grows as distinct poles approach.  Where it exceeds ``REL_TOL`` of the
+    value, each cluster of lower poles (spread r about their mean at most
+    ``CLUSTER_RATIO`` times their distance R to the nearest other pole) is
+    summed as one divided difference, a series in r/R that does not cancel,
+    its a priori tail bound added (:func:`_cluster_sum`); the smaller bound
+    wins.  If that fails :func:`accepts`, the adaptive quadrature takes
+    over, under a :class:`DegeneratePolesWarning`.
     """
-    centers = [line.center for line in prod.factors]
-    widths = [line.hwhm for line in prod.factors]
-    total, magnitude = _half_plane_sum(centers, widths, 0.0)
-    value, error = total.real, _ROUNDOFF * magnitude
-    if accepts(value, error):
-        return ProductIntegral(value, "residue", error)
+    total, error = _half_plane_sum(prod.factors, 0.0)
+    if error > REL_TOL * abs(total.real):  # the terms cancel: sum close poles by cluster
+        clustered = _half_plane_sum(prod.factors, 0.0, clustered=True)
+        total, error = clustered if clustered[1] < error else (total, error)
+    if accepts(total.real, error):
+        return ProductIntegral(total.real, "residue", error)
     warn_at_caller(
         "near-coincident poles: falling back to adaptive quadrature", DegeneratePolesWarning
     )
@@ -276,11 +338,8 @@ def lorentz_product_transform(
     lags = np.asarray(tau, dtype=float)
     if np.any(lags < 0.0):
         raise ParameterError("transform lag must be nonnegative; use conjugation for tau < 0")
-    centers = [line.center for line in prod.factors]
-    widths = [line.hwhm for line in prod.factors]
-    values, magnitudes = _half_plane_sum(centers, widths, lags)
-    bounds = (_ROUNDOFF * magnitudes).ravel().tolist()
-    if not all(map(accepts, np.abs(values).ravel().tolist(), bounds)):
+    values, bounds = _half_plane_sum(prod.factors, lags)
+    if not all(map(accepts, np.abs(values).ravel().tolist(), bounds.ravel().tolist())):
         warn_at_caller(
             "near-coincident poles: transform falls back to adaptive quadrature",
             DegeneratePolesWarning,

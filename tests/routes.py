@@ -12,7 +12,10 @@ shorthand the tests build Lorentzian products with, and
 noise kernels K1 and K2 have two reference routes here: per-point
 residue sums of their defining Lorentzian products, and an ``mpmath``
 quadrature of their defining integrals at any working precision; K0 has
-the same ``mpmath`` route.  ``dominant_oscillation_frequency`` reads
+the same ``mpmath`` route.  ``exact_lorentz_integral`` sums the residues
+of any Lorentzian product in exact rational arithmetic, the reference
+every residue and quadrature result is measured against without a
+working precision to choose.  ``dominant_oscillation_frequency`` reads
 the beat frequency off a lag curve.  ``lorentz_value_route``,
 ``product_value_route`` and ``half_plane_sum_route`` are the residue
 engine as it was before its scalar fast paths (every point through a 0-d
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.signal import lfilter, welch
@@ -240,6 +244,58 @@ def mp_classical_kernel(mp, w: float, g: float, k: float, d: float):
 
     centers = sorted({mp.mpf(0), w, d, d + w})
     return mp.quad(k0, [-mp.inf, *centers, mp.inf]) / (2 * mp.pi)
+
+
+def _times(a, b):
+    """Product of two complex rationals held as (real, imaginary) pairs."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _series_product(a, b):
+    """Cauchy product of two series of complex rationals, truncated to len(a)."""
+    out = []
+    for n in range(len(a)):
+        terms = [_times(a[i], b[n - i]) for i in range(n + 1)]
+        out.append((sum(t[0] for t in terms), sum(t[1] for t in terms)))
+    return out
+
+
+def exact_lorentz_integral(lines):
+    """(1/2pi) * integral prod L(w; center, width) dw in exact rational arithmetic.
+
+    ``lines`` are (center, width) pairs; each becomes a ``Fraction``, so a
+    float input is taken at its exact binary value.  The contour closes
+    in the lower half-plane, and the residue at a pole p of multiplicity m
+    is the (m-1)-th Laurent coefficient: the Taylor coefficient of
+    C / prod_{q != p} (z - q)^mq about p, whose factors expand as
+    1/(z - q) = sum_n (-1)^n (z - p)^n / (p - q)^(n+1).  Returns the real
+    and imaginary parts as ``Fraction``s; the imaginary part is exactly 0.
+    """
+    lines = [(Fraction(c), Fraction(k)) for c, k in lines]
+    poles: dict = {}
+    for c, k in lines:
+        for pole in ((c, -k), (c, k)):
+            poles[pole] = poles.get(pole, 0) + 1
+    scale = math.prod(2 * k for _, k in lines)
+    total = (Fraction(0), Fraction(0))
+    for p, m in poles.items():
+        if p[1] > 0:
+            continue
+        series = [(scale, Fraction(0))] + [(Fraction(0), Fraction(0))] * (m - 1)
+        for q, mq in poles.items():
+            if q == p:
+                continue
+            d = (p[0] - q[0], p[1] - q[1])
+            norm = d[0] * d[0] + d[1] * d[1]
+            inverse = (d[0] / norm, -d[1] / norm)
+            expansion = [inverse]
+            for _ in range(m - 1):
+                expansion.append(_times(expansion[-1], (-inverse[0], -inverse[1])))
+            for _ in range(mq):
+                series = _series_product(series, expansion)
+        total = (total[0] + series[m - 1][0], total[1] + series[m - 1][1])
+    # (1/2pi) * (-2pi i) * sum of residues = -i * sum
+    return total[1], -total[0]
 
 
 def lorentz_value_route(omega, line: Lorentzian):

@@ -1,7 +1,11 @@
 """Lag autocorrelations: closed forms vs residue, mpmath, cosine-quadrature and brute force."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +101,40 @@ class TestLineModeTransform:
         for g, d in cases:
             reference = _mp_line_mode(mp, TAUS, g, k, d)
             assert _max_deviation(_line_mode_transform(TAUS, g, k, d), reference) <= 1e-14
+
+    def test_series_branch_keeps_its_bits(self, fpi, sweep_sources):
+        # the divided difference with both branches evaluated at every lag
+        def both_branches(taus, g, k, d):
+            b = complex(k, d)
+            slow, fast = (g, b) if k >= g else (b, g)
+            z = -(fast - slow) * taus
+            small = np.abs(z) < 1e-5
+            safe = np.where(small, 1.0, z)
+            phi1 = np.where(small, 1.0 + z / 2.0 + z * z / 6.0, np.expm1(safe) / safe)
+            line = 2.0 * (k + g) / ((g + b.conjugate()) * (g + b))
+            mixed = 2.0 * g / (g + b)
+            return line * np.exp(-g * taus) + mixed * taus * np.exp(-slow * taus) * phi1
+
+        k = fpi.kappa_t
+        cases = [(source_linewidth(src), fpi.delta) for src in sweep_sources]
+        cases += [(k * (1.0 + 1e-9), 0.0), (k, 1e-7)]  # lags on the series branch
+        for g, d in cases:
+            closed = _line_mode_transform(TAUS, g, k, d)
+            assert closed.tobytes() == both_branches(TAUS, g, k, d).tobytes()
+
+    @pytest.mark.parametrize("key", ["fpi.delta", "fpi.kappa1"])
+    def test_huge_rates_give_no_overflow_warning(self, tmp_path, key):
+        # at these rates z * z overflows on the lags the series branch does not serve
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text(f"{key} = 1e200\n")
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fpinoise", "autocorr",
+             "--config", str(cfg_file), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stderr == ""
 
     def test_scalar_lag_gives_complex(self):
         assert type(_line_mode_transform(0.7, 1.2, 1.1, 5.0)) is complex

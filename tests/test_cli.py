@@ -35,6 +35,7 @@ from fpinoise.figures import (
     sweep_product,
 )
 from fpinoise.output import WRITERS, FigureDataset, format_float, write_dataset
+from routes import exact_lorentz_integral
 
 
 def _reject_constant(token):
@@ -515,15 +516,48 @@ class TestCliMain:
 
     def test_fluct_at_near_coincident_poles_writes_the_true_k0(self, tmp_path):
         # delta = 0, gamma_l = kappa_t (1 + 1e-8): the residue sum of K0
-        # cancels to 1.2e8 at w = 0; its bound sends every point to quadrature
+        # cancels to 1.2e8 at w = 0; its bound sends every point to the
+        # cluster sum, with no quadrature fallback
         cfg_file = tmp_path / "degenerate.cfg"
         cfg_file.write_text("fpi.delta = 0\nsource.gamma_max = 2.7500000275\ngrid.omega = -2:2:5\n")
         out = tmp_path / "out"
-        with pytest.warns(DegeneratePolesWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegeneratePolesWarning)
             assert main(["fluct", "--config", str(cfg_file), "--out", str(out)]) == 0
         _, header, rows = _read_csv(out / "fluct.csv")
         (at_zero,) = rows[rows[:, header.index("omega")] == 0.0]
         assert at_zero[header.index("d2n_classical")] == pytest.approx(0.8731705975, rel=1e-9)
+
+    def test_fluct_of_a_narrow_line_near_zero_writes_the_exact_k0(self, tmp_path):
+        # adaptive quadrature of K0 gives 1.2e-5 at w = +-5e-12 here, next to 5.1e6 at w = 0
+        cfg_file = tmp_path / "narrow.cfg"
+        cfg_file.write_text("fpi.delta = 5e-7\nsource.gamma_max = 7.5e-7\ngrid.omega = -1e-11:1e-11:5\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegeneratePolesWarning)
+            assert main(["fluct", "--config", str(cfg_file), "--out", str(out)]) == 0
+        _, header, rows = _read_csv(out / "fluct.csv")
+        cfg = parse_config(cfg_file.read_text())
+        fpi, g = cfg.fpi, source_linewidth(cfg.source)
+        a = cfg.source.p_in * fpi.coupling
+        for w in (-5e-12, 5e-12):
+            (row,) = rows[rows[:, header.index("omega")] == w]
+            lines = [(w, g), (w + fpi.delta, fpi.kappa_t), (0.0, g), (fpi.delta, fpi.kappa_t)]
+            # the file carries 9 digits: it holds the exact value, rounded
+            exact = a * a * float(exact_lorentz_integral(lines)[0])
+            assert row[header.index("d2n_classical")] == float(format_float(exact))
+
+    def test_fluct_of_a_narrow_line_on_a_fine_grid_exits_0(self, tmp_path, capsys):
+        # adaptive quadrature of K0 raises ConvergenceError at w = 5.3e-11 here
+        cfg_file = tmp_path / "narrow.cfg"
+        cfg_file.write_text(
+            "fpi.delta = 0\nsource.p_in = 1\nsource.gamma_max = 2e-5\ngrid.omega = -1e-6:1e-6:2000\n"
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegeneratePolesWarning)
+            assert main(["fluct", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_sweep_subcommand_emits_split(self, tmp_path):
         # the split is a column of sweep.csv; no energy_split.csv repeats it

@@ -1,6 +1,7 @@
 """Fluctuation spectra: kernels vs quadrature, sum rules, engine cross-paths."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from fpinoise import (
     transmitted_fluct_spectrum,
     transmitted_spectrum,
 )
-from fpinoise import fluctuations
+from fpinoise import fluctuations, lorentz
 from fpinoise.cavity import reflected_power, transmitted_power
 from fpinoise.config import DEFAULT_OMEGA_GRID
 from fpinoise.fluctuations import (
@@ -33,6 +34,7 @@ from fpinoise.lorentz import TWO_PI
 from fpinoise.source import source_linewidth
 from routes import (
     CoverageError,
+    exact_lorentz_integral,
     general_cavity_fluct_spectrum,
     general_freespace_fluct_spectrum,
     half_plane_sum_route,
@@ -53,6 +55,33 @@ KERNEL_TABLE = {
     2.5: (0.00505158862646504, 0.03718336196865963, 0.0723952335753679),
     5.0: (0.0043836569509418605, 0.05895267488894097, 0.059708592988595134),
 }
+
+
+# K0 points where residue terms cancel: (delta, eps, p_in, w), with
+# gamma_l = kappa_t (1 + eps), or the p_in line when eps is None
+CANCELLING_POINTS = (
+    # gamma_l = kappa_t (1 + eps) near delta = 0: distinct poles whose
+    # residue terms cancel at w = 0 (the residue sum was off by 1e8)
+    (0.0, 1e-8, 0.0, 0.0),
+    (0.0, 1e-6, 0.0, 0.0),
+    (1e-6, 1e-6, 0.0, 0.0),
+    # default line: (w, gamma_l)/(0, gamma_l) and
+    # (w + delta, kappa_t)/(delta, kappa_t) pair up at tiny w
+    (5.0, None, 5.0, 1e-8),
+    (5.0, None, 5.0, 1e-6),
+    (5.0, None, 5.0, 1e-5),
+)
+
+
+def _cancelling_point(delta, eps, p_in):
+    fpi = FpiParams(delta=delta)
+    if eps is None:
+        return fpi, SourceParams(p_in=p_in)
+    return fpi, SourceParams(p_in=p_in, gamma_max=fpi.kappa_t * (1.0 + eps))
+
+
+def _exact_k0(w, g, kt, d) -> Fraction:
+    return exact_lorentz_integral([(w, g), (w + d, kt), (0.0, g), (d, kt)])[0]
 
 
 def _lorentz(w, k):
@@ -133,7 +162,8 @@ class TestKernels:
             ]
             assert classical_noise_kernel(grid, fpi, src).tobytes() == np.array(expected).tobytes()
 
-    def test_k0_fallback_matches_route_bit_for_bit(self):
+    def test_k0_fallback_matches_route_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(lorentz, "CLUSTER_RATIO", 0.0)
         fpi = FpiParams(delta=0.0)
         src = SourceParams(p_in=0.0, gamma_max=fpi.kappa_t * (1.0 + 5e-10))
         g, kt, d = source_linewidth(src), fpi.kappa_t, fpi.delta
@@ -148,27 +178,25 @@ class TestKernels:
             expected = adaptive_integral(lambda u: product_value_route(prod, u) / TWO_PI)
             assert np.float64(value).tobytes() == np.float64(expected.value).tobytes()
 
-    @pytest.mark.parametrize(
-        "delta, eps, p_in, w",
-        (
-            # gamma_l = kappa_t (1 + eps) near delta = 0: distinct poles whose
-            # residue terms cancel at w = 0 (the residue sum was off by 1e8)
-            (0.0, 1e-8, 0.0, 0.0),
-            (0.0, 1e-6, 0.0, 0.0),
-            (1e-6, 1e-6, 0.0, 0.0),
-            # default line: (w, gamma_l)/(0, gamma_l) and
-            # (w + delta, kappa_t)/(delta, kappa_t) pair up at tiny w
-            (5.0, None, 5.0, 1e-8),
-            (5.0, None, 5.0, 1e-6),
-            (5.0, None, 5.0, 1e-5),
-        ),
-    )
+    def test_k0_at_the_fallback_points_is_a_residue_sum_within_its_bound(self):
+        fpi = FpiParams(delta=0.0)
+        src = SourceParams(p_in=0.0, gamma_max=fpi.kappa_t * (1.0 + 5e-10))
+        g, kt, d = source_linewidth(src), fpi.kappa_t, fpi.delta
+        grid = np.array([0.0, 1e-8, 0.3, -2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = classical_noise_kernel(grid, fpi, src)
+            for w, value in zip(grid.tolist(), values.tolist()):
+                prod = product((w, g), (w + d, kt), (0.0, g), (d, kt))
+                result = lorentz.lorentz_product_integral(prod)
+                assert result.method == "residue" and result.value == value
+                error = abs(Fraction(value) - _exact_k0(w, g, kt, d))
+                assert error <= Fraction(result.error_estimate), w
+
+    @pytest.mark.parametrize("delta, eps, p_in, w", CANCELLING_POINTS)
     def test_k0_where_residue_terms_cancel_matches_mpmath(self, delta, eps, p_in, w):
         mp = pytest.importorskip("mpmath")
-        fpi = FpiParams(delta=delta)
-        src = SourceParams(p_in=p_in) if eps is None else SourceParams(
-            p_in=p_in, gamma_max=fpi.kappa_t * (1.0 + eps)
-        )
+        fpi, src = _cancelling_point(delta, eps, p_in)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegeneratePolesWarning)
             value = classical_noise_kernel(w, fpi, src)
@@ -176,24 +204,30 @@ class TestKernels:
             exact = mp_classical_kernel(mp, w, source_linewidth(src), fpi.kappa_t, delta)
             assert abs(value / exact - 1) <= 1e-12
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="narrow drive line near w = 0: the residue bound sends K0 to quadrature, "
-        "which misses the peaks; the closed-form K0 removes this",
-    )
+    @pytest.mark.parametrize("delta, eps, p_in, w", CANCELLING_POINTS)
+    def test_exact_route_matches_mpmath_where_residue_terms_cancel(self, delta, eps, p_in, w):
+        mp = pytest.importorskip("mpmath")
+        fpi, src = _cancelling_point(delta, eps, p_in)
+        g = source_linewidth(src)
+        exact = _exact_k0(w, g, fpi.kappa_t, delta)
+        with mp.workdps(40):
+            reference = mp_classical_kernel(mp, w, g, fpi.kappa_t, delta)
+            # the quadrature, not the rational sum, limits the agreement
+            assert abs(mp.mpf(exact.numerator) / exact.denominator / reference - 1) <= 1e-15
+
     @pytest.mark.parametrize(
         "fpi, g, w",
         (
-            # quadrature raises ConvergenceError (the CLI exits 3)
+            # adaptive quadrature of K0 raises ConvergenceError here
             (FpiParams(kappa1=0.8, kappa2=0.8, delta=0.0), 1.9e-5, 5.3e-11),
-            # quadrature returns 2.6e-5 against 1.1e7, with a warning only
+            # adaptive quadrature of K0 returns 2.6e-5 here, against 1.1e7
             (FpiParams(delta=5e-7), 3e-7, 5e-12),
         ),
     )
     def test_k0_of_a_narrow_line_near_zero_matches_mpmath(self, fpi, g, w):
         mp = pytest.importorskip("mpmath")
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegeneratePolesWarning)
+            warnings.simplefilter("error", DegeneratePolesWarning)
             value = classical_noise_kernel(w, fpi, SourceParams(p_in=0.0, gamma_max=g))
         with mp.workdps(30):
             exact = mp_classical_kernel(mp, w, g, fpi.kappa_t, fpi.delta)

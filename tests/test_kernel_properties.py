@@ -11,12 +11,17 @@ reflected noise stays above minus its round-off bound, also in a stratum
 at critical coupling with narrow drive lines.  The line-mode lag
 transform behind every lag curve matches its two-pole residue formula
 at 50 digits over the same draws and over drive lines up to 1e3 times
-broader than the mode, out to 50 decay times of the slower pole.
-Derandomized, so every run draws the same examples.
+broader than the mode, out to 50 decay times of the slower pole.  K0
+itself is checked point by point against the exact rational residue sum,
+over the same draws and three strata where its poles nearly or exactly
+coincide: to ``REL_TOL``, within its own error estimate, with no warning
+and with no call of the quadrature fallback.  Derandomized, so every run
+draws the same examples.
 """
 
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,11 +47,17 @@ from fpinoise import (  # noqa: E402
     reflection_cross_kernel,
     transmitted_autocorr,
 )
+from fpinoise import fluctuations, lorentz  # noqa: E402
 from fpinoise.autocorr import _line_mode_transform  # noqa: E402
 from fpinoise.cavity import reflected_power, transmitted_power  # noqa: E402
-from fpinoise.lorentz import accepts  # noqa: E402
+from fpinoise.lorentz import REL_TOL, accepts  # noqa: E402
 from fpinoise.source import KAPPA_L, source_linewidth  # noqa: E402
-from routes import mp_classical_kernel, mp_commutator_kernels, product  # noqa: E402
+from routes import (  # noqa: E402
+    exact_lorentz_integral,
+    mp_classical_kernel,
+    mp_commutator_kernels,
+    product,
+)
 
 
 def _log_uniform(lo_exp: float, hi_exp: float):
@@ -127,6 +138,101 @@ def test_quantum_sum_rule_and_zero_lag_identities(
         # |2 kappa2 g1(0)|^2 = p_t^2 and |pr1(0)|^2 = p_r^2
         assert abs(transmitted_autocorr(fpi, src, 0.0).values[0] - p_t**2) <= 1e-15 * p_t**2
         assert abs(reflected_autocorr(fpi, src, 0.0).values[0] - p_r**2) <= 1e-15 * p_r**2
+
+
+def _assert_k0_matches_the_exact_route(fpi, src, omega):
+    """K0 at one point: a residue sum, exact to REL_TOL and to its own error bound.
+
+    The point runs with warnings as errors and with ``adaptive_integral``
+    counted, so a quadrature fallback fails the draw even where it would
+    be accurate: a guard against the cliff that needs no timing.
+    """
+    quadratures, results = [], []
+    quadrature = lorentz.adaptive_integral
+
+    def counting_quadrature(f):
+        quadratures.append(f)
+        return quadrature(f)
+
+    def recording_integral(prod):
+        results.append(lorentz_product_integral(prod))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(lorentz, "adaptive_integral", counting_quadrature)
+        patch.setattr(fluctuations, "lorentz_product_integral", recording_integral)
+        warnings.simplefilter("error")
+        value = classical_noise_kernel(omega, fpi, src)
+    assert quadratures == []
+    (result,) = results
+    assert result.method == "residue" and result.value == value
+    g, k, d = source_linewidth(src), fpi.kappa_t, fpi.delta
+    exact, _ = exact_lorentz_integral([(omega, g), (omega + d, k), (0.0, g), (d, k)])
+    error = abs(Fraction(value) - exact)
+    assert error <= Fraction(REL_TOL) * exact, (float(error / exact), result)
+    assert error <= Fraction(result.error_estimate), (float(error / exact), result)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@DRAWS
+def test_k0_matches_the_exact_route_without_quadrature(
+    kappa1, kappa2, kappa0, delta, eps, p_in, omega
+):
+    fpi, src = _draw(kappa1, kappa2, kappa0, delta, eps, p_in)
+    _assert_k0_matches_the_exact_route(fpi, src, omega)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    kappa1=st.floats(0.05, 5.0),
+    kappa2=st.floats(0.05, 5.0),
+    kappa0=st.floats(0.01, 1.0),
+    eps=_log_uniform(-12.0, -2.0),
+    p_in=st.floats(0.0, 60.0),
+    omega=FREQUENCIES,
+)
+def test_k0_of_near_coincident_lines_at_zero_detuning(kappa1, kappa2, kappa0, eps, p_in, omega):
+    # delta = 0 and gamma_l = kappa_t (1 + eps): all four lower poles close in
+    _assert_k0_matches_the_exact_route(*_draw(kappa1, kappa2, kappa0, 0.0, eps, p_in), omega)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    kappa1=st.floats(0.05, 5.0),
+    kappa2=st.floats(0.05, 5.0),
+    kappa0=st.floats(0.01, 1.0),
+    delta=DETUNINGS,
+    gamma_l=_log_uniform(-9.0, -5.0),
+    p_in=st.floats(0.0, 60.0),
+    omega=st.one_of(st.just(0.0), _signed(_log_uniform(-12.0, -6.0))),
+)
+def test_k0_of_a_narrow_line_near_zero_frequency(
+    kappa1, kappa2, kappa0, delta, gamma_l, p_in, omega
+):
+    # (w, gamma_l) and (0, gamma_l) pair up within w of each other, far
+    # closer to each other than to anything but their conjugates
+    fpi = FpiParams(kappa1=kappa1, kappa2=kappa2, kappa0=kappa0, delta=delta)
+    src = SourceParams(p_in=p_in, gamma_max=gamma_l * (1.0 + p_in / KAPPA_L))
+    _assert_k0_matches_the_exact_route(fpi, src, omega)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    kappa1=st.floats(0.05, 5.0),
+    kappa2=st.floats(0.05, 5.0),
+    kappa0=st.floats(0.01, 1.0),
+    delta=st.one_of(st.just(0.0), DETUNINGS),
+    same_width=st.booleans(),
+    gamma_max=_log_uniform(-3.0, 1.0),
+)
+def test_k0_of_exactly_repeated_poles_at_zero_frequency(
+    kappa1, kappa2, kappa0, delta, same_width, gamma_max
+):
+    # w = 0 repeats both lines; at delta = 0 with gamma_l = kappa_t all
+    # four lower poles coincide
+    fpi = FpiParams(kappa1=kappa1, kappa2=kappa2, kappa0=kappa0, delta=delta)
+    src = SourceParams(p_in=0.0, gamma_max=fpi.kappa_t if same_width else gamma_max)
+    _assert_k0_matches_the_exact_route(fpi, src, 0.0)
 
 
 # The reflected noise p_in^2 [L(w, 2 gamma_l) - B K2 + B^2 K0] is a

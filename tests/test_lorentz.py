@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from fpinoise.config import DEFAULT_TAU_GRID
 from fpinoise.lorentz import TWO_PI, lorentz_transform_quadrature, map_over_omega
 from fpinoise.source import source_linewidth
 from routes import (
+    exact_lorentz_integral,
     half_plane_sum_route,
     lorentz_convolve,
     lorentz_value_route,
@@ -69,6 +71,17 @@ class TestLorentzValue:
             Lorentzian(0.0, 0.0)
         with pytest.raises(ParameterError):
             Lorentzian(0.0, -1.0)
+
+
+def _assert_exact_residue(prod):
+    """The integral of ``prod`` is a residue sum within its error estimate, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = lorentz_product_integral(prod)
+    assert result.method == "residue"
+    exact, _ = exact_lorentz_integral([(line.center, line.hwhm) for line in prod.factors])
+    assert abs(Fraction(result.value) - exact) <= Fraction(result.error_estimate)
+    return result
 
 
 def _bits(x) -> tuple:
@@ -182,12 +195,16 @@ class TestProductIntegral:
         est = adaptive_integral(lambda w: prod.value(w) / TWO_PI)
         assert result.value == pytest.approx(est.value, rel=1e-10)
 
-    def test_near_degenerate_falls_back_to_quadrature(self):
+    def test_near_degenerate_falls_back_to_quadrature(self, monkeypatch):
+        monkeypatch.setattr(lorentz, "CLUSTER_RATIO", 0.0)
         prod = product((0.0, 0.5), (1e-11, 0.5))
         with pytest.warns(DegeneratePolesWarning):
             result = lorentz_product_integral(prod)
         assert result.method == "quadrature"
         assert result.value == pytest.approx(lorentz_convolve(0.0, 0.5, 0.5), rel=1e-8)
+
+    def test_near_degenerate_poles_are_summed_as_one_cluster(self):
+        _assert_exact_residue(product((0.0, 0.5), (1e-11, 0.5)))
 
     def test_randomized_residue_vs_quadrature(self, rng):
         for _ in range(60):
@@ -221,11 +238,12 @@ class TestProductIntegral:
         assert mirrored == pytest.approx(base, rel=1e-12)
 
     @pytest.mark.parametrize("p_in", (0.1, 1.5, 5.0))
-    def test_error_estimate_bounds_the_error(self, fpi, p_in):
+    def test_error_estimate_bounds_the_error(self, fpi, p_in, monkeypatch):
         # K0's integrand, whose poles pair up as w -> 0: exact repeats at
         # w = 0, cancelling residue terms just above it, whose bound misses
-        # the tolerance and sends the integral to quadrature
+        # the tolerance and, without clusters, sends the integral to quadrature
         mp = pytest.importorskip("mpmath")
+        monkeypatch.setattr(lorentz, "CLUSTER_RATIO", 0.0)
         g, kt, d = source_linewidth(SourceParams(p_in=p_in)), fpi.kappa_t, fpi.delta
         methods = {0.0: "residue", 1e-8: "quadrature", 1e-6: "quadrature",
                    1e-5: "quadrature", 1e-3: "residue", 0.3: "residue"}
@@ -239,6 +257,12 @@ class TestProductIntegral:
                 error = abs(mp.mpf(result.value) - mp_classical_kernel(mp, w, g, kt, d))
             assert error <= result.error_estimate, (w, float(error))
             assert lorentz.accepts(result.value, result.error_estimate)
+
+    @pytest.mark.parametrize("p_in", (0.1, 1.5, 5.0))
+    def test_clusters_serve_every_point_of_the_error_estimate_table(self, fpi, p_in):
+        g, kt, d = source_linewidth(SourceParams(p_in=p_in)), fpi.kappa_t, fpi.delta
+        for w in (0.0, 1e-8, 1e-6, 1e-5, 1e-3, 0.3):
+            _assert_exact_residue(product((w, g), (w + d, kt), (0.0, g), (d, kt)))
 
     def test_factor_count_bounds(self):
         with pytest.raises(ParameterError):
@@ -384,7 +408,8 @@ class TestEngineMatchesRoute:
             values = lorentz_product_transform(product(*pairs), taus)
             assert _bits(values) == _bits(half_plane_sum_route(centers, widths, taus)), pairs
 
-    def test_fallback_equals_quadrature_of_route_integrand(self):
+    def test_fallback_equals_quadrature_of_route_integrand(self, monkeypatch):
+        monkeypatch.setattr(lorentz, "CLUSTER_RATIO", 0.0)
         prod = product((0.0, 1.0), (0.0, 1.0 + 5e-10), (0.3, 0.5))
         with pytest.warns(DegeneratePolesWarning):
             result = lorentz_product_integral(prod)
@@ -393,9 +418,11 @@ class TestEngineMatchesRoute:
         assert _bits(result.value) == _bits(expected.value)
         assert _bits(result.error_estimate) == _bits(expected.error_estimate)
 
-    def test_fallback_integrand_makes_no_numpy_arrays(self, monkeypatch):
-        # a deterministic guard on the float fast path: a regression shows
-        # as asarray calls, not as a timing on a noisy machine
+    def test_near_coincident_poles_of_the_fallback_product_are_one_cluster(self):
+        _assert_exact_residue(product((0.0, 1.0), (0.0, 1.0 + 5e-10), (0.3, 0.5)))
+
+    @staticmethod
+    def _count_asarray(monkeypatch) -> list:
         calls = []
 
         class CountingNumpy:
@@ -407,9 +434,55 @@ class TestEngineMatchesRoute:
                 return np.asarray(*args, **kwargs)
 
         monkeypatch.setattr(lorentz, "np", CountingNumpy())
+        return calls
+
+    def test_fallback_integrand_makes_no_numpy_arrays(self, monkeypatch):
+        # a deterministic guard on the float fast path: a regression shows
+        # as asarray calls, not as a timing on a noisy machine
+        monkeypatch.setattr(lorentz, "CLUSTER_RATIO", 0.0)
+        calls = self._count_asarray(monkeypatch)
         prod = product((0.0, 1.0), (0.0, 1.0 + 5e-10), (0.3, 0.5))
         with pytest.warns(DegeneratePolesWarning):
             assert lorentz_product_integral(prod).method == "quadrature"
         assert calls == []
         lorentz.lorentz_value(np.float64(0.3), prod.factors[0])
         assert len(calls) == 1  # the proxy does see the numpy branch
+
+    def test_cluster_sum_makes_no_numpy_arrays(self, monkeypatch):
+        calls = self._count_asarray(monkeypatch)
+        _assert_exact_residue(product((0.0, 1.0), (0.0, 1.0 + 5e-10), (0.3, 0.5)))
+        assert calls == []
+        lorentz.lorentz_value(np.float64(0.3), Lorentzian(0.0, 1.0))
+        assert len(calls) == 1  # the proxy does see the numpy branch
+
+
+class TestExactRoute:
+    """``routes.exact_lorentz_integral``, the rational reference of the engine."""
+
+    def test_a_single_line_integrates_to_exactly_one(self, rng):
+        for center, width in [(0.0, 1.0), (3.0, 0.8), *rng.uniform(0.01, 5.0, size=(10, 2))]:
+            assert exact_lorentz_integral([(float(center), float(width))]) == (1, 0)
+
+    def test_the_imaginary_part_is_exactly_zero(self, rng):
+        for pairs in _route_cases(np.random.default_rng(5)):
+            _, imag = exact_lorentz_integral(pairs)
+            assert imag == 0, pairs
+            if rng.random() < 0.05:
+                break
+
+    @pytest.mark.parametrize("mult", (2, 3, 4))
+    def test_repeated_poles_match_mpmath(self, mult):
+        mp = pytest.importorskip("mpmath")
+        pairs = [(0.7, 0.3)] * mult + [(1.9, 0.5), (-0.4, 1.3)][: 4 - mult]
+        exact, _ = exact_lorentz_integral(pairs)
+        with mp.workdps(40):
+
+            def integrand(u):
+                out = mp.mpf(1)
+                for c, k in pairs:
+                    out *= 2 * mp.mpf(k) / ((u - c) ** 2 + mp.mpf(k) ** 2)
+                return out
+
+            breaks = [-mp.inf, *sorted({c for c, _ in pairs}), mp.inf]
+            quadrature = mp.quad(integrand, breaks) / (2 * mp.pi)
+            assert abs(mp.mpf(exact.numerator) / exact.denominator / quadrature - 1) < 1e-25

@@ -315,8 +315,11 @@ class TestWelchEstimate:
         [
             "from fpinoise.figures import energy_split_fraction\n"
             "energy_split_fraction(fpinoise.FpiParams(), fpinoise.SourceParams(p_in=5.0))",
-            # distinct poles 1e-10 apart: the residue sum falls back to quadrature
+            # distinct poles 1e-10 apart and no clusters: the residue sum falls
+            # back to quadrature
+            "from fpinoise import lorentz\n"
             "from fpinoise.lorentz import LorentzProduct, Lorentzian, lorentz_product_integral\n"
+            "lorentz.CLUSTER_RATIO = 0.0\n"
             "lorentz_product_integral(LorentzProduct((Lorentzian(0.0, 1.0), Lorentzian(1e-10, 1.0))))",
         ],
     )
@@ -329,6 +332,24 @@ class TestWelchEstimate:
             "warnings.simplefilter('ignore')\n"
             f"{call}\n"
             "assert 'scipy.integrate' in sys.modules\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert run.returncode == 0, run.stderr
+
+    def test_a_cluster_of_near_coincident_poles_loads_no_quadrature(self):
+        # the same poles 1e-10 apart are one cluster: a residue sum within
+        # its error estimate of the exact value 1 / (1 + 2.5e-21), no warning
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import sys, warnings\n"
+            "from fpinoise.lorentz import LorentzProduct, Lorentzian, lorentz_product_integral\n"
+            "warnings.simplefilter('error')\n"
+            "r = lorentz_product_integral(LorentzProduct((Lorentzian(0.0, 1.0), Lorentzian(1e-10, 1.0))))\n"
+            "assert r.method == 'residue' and abs(r.value - 1.0) <= r.error_estimate, r\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
         )
         run = subprocess.run(
             [sys.executable, "-c", script],
