@@ -34,12 +34,6 @@ TWO_PI = 2.0 * math.pi
 # numerics never touch it.
 KAPPA_L_RAD_PER_SEC = 4.0e11
 
-# Over lags, poles closer than GROUP_FACTOR * (sum of widths) are treated
-# as one pole of higher multiplicity.  Distinct poles just farther apart
-# give residue terms that cancel, whose round-off bound below then misses
-# the tolerance, and quadrature takes over.  Zero lag sums them by cluster.
-GROUP_FACTOR = 1e-12
-
 # Lower-half-plane poles form a cluster when their spread r about their
 # mean c is at most CLUSTER_RATIO times c's distance R to any other pole.
 CLUSTER_RATIO = 1.0 / 16.0
@@ -166,8 +160,9 @@ def adaptive_integral(f: Callable[[float], float]) -> ProductIntegral:
     return ProductIntegral(value, "quadrature", error)
 
 
-def _group_poles(poles: Sequence[complex], tol: float) -> list[list]:
-    """Cluster poles within ``tol`` of each other into [location, multiplicity]."""
+def _group_poles(poles: Sequence[complex]) -> list[list]:
+    """Merge repeated poles, up to a running mean's round-off, into [location, multiplicity]."""
+    tol = _ROUNDOFF * max(map(abs, poles))
     groups: list[list] = []
     for p in poles:
         for g in groups:
@@ -228,28 +223,21 @@ def _cluster_sum(prefactor, members, others, mean, rho, nearest) -> tuple:
 
 
 def _half_plane_sum(
-    factors: Sequence[Lorentzian],
-    tau: float | np.ndarray,
-    clustered: bool = False,
-) -> tuple[complex | np.ndarray, float | np.ndarray]:
+    factors: Sequence[Lorentzian], tau: float, clustered: bool = False
+) -> tuple[complex, float]:
     """Sum of residues needed for (1/2pi) * integral prod_i L(w - c_i, k_i) e^{-i w tau} dw.
 
-    For tau >= 0 the contour closes in the lower half-plane; for tau == 0
-    either closure works and the lower one is kept.  Two modes: the float
-    ``tau`` 0.0 of :func:`lorentz_product_integral` stays on plain complex
-    arithmetic, faster for the one-point integrals of the noise kernels
-    (``clustered`` sums close poles by :func:`_cluster_sum`); an ndarray of
-    lags (0-d included) groups its poles once and gives arrays.  Returns
-    the sum and its error bound: ``_ROUNDOFF`` times the summed term
-    magnitudes (their cancellation), plus the clusters' tail bounds.
+    One lag ``tau`` >= 0, on plain complex arithmetic: the contour closes
+    in the lower half-plane, and at tau == 0, where either closure works,
+    the lower one is kept and every phase is 1.  Only repeated poles merge
+    (:func:`_group_poles`); ``clustered`` sums close distinct ones by
+    :func:`_cluster_sum`.  Returns the sum and its error bound:
+    ``_ROUNDOFF`` times the summed term magnitudes (their cancellation),
+    plus the clusters' tail bounds.
     """
-    # None: the scalar lag is zero and has unit phase
-    exp = np.exp if isinstance(tau, np.ndarray) else None
-    lower = [complex(line.center, -line.hwhm) for line in factors]
-    # lags merge within GROUP_FACTOR of the summed widths (-Im p), zero lag
-    # only repeats, up to the round-off of a running mean
-    tol = -GROUP_FACTOR * sum(p.imag for p in lower) if exp else _ROUNDOFF * max(map(abs, lower))
-    lower_groups = _group_poles(lower, tol)
+    if tau:
+        from cmath import exp  # loaded only when a nonzero lag is summed
+    lower_groups = _group_poles([complex(line.center, -line.hwhm) for line in factors])
     # the running-mean grouping commutes with conjugation
     upper_groups = [[p.conjugate(), m] for p, m in lower_groups]
 
@@ -269,7 +257,7 @@ def _half_plane_sum(
             continue
         others = all_groups[:i] + all_groups[i + 1 :]
         # H(z) = C e^{-i z tau} prod (z - q)^{-mq}; residue = H^{(m-1)}(pole)/(m-1)!
-        h0 = prefactor if exp is None else prefactor * exp(-1j * pole * tau)
+        h0 = prefactor * exp(-1j * pole * tau) if tau else prefactor
         for q, mq in others:
             h0 /= (pole - q) if mq == 1 else (pole - q) ** mq
         if mult == 1:
@@ -328,26 +316,28 @@ def lorentz_product_transform(
     """(1/2pi) * integral prod_i L(w - c_i, k_i) e^{-i w tau} dw for tau >= 0.
 
     ``tau`` is one lag, giving a ``complex``, or an array of lags, giving
-    a complex array of the same shape.  Exact residue evaluation with the
-    poles grouped once per call, and the round-off bound of
-    :func:`lorentz_product_integral` at every lag.  When the bound of any
-    lag fails :func:`accepts`, the whole call falls back, lag by lag, to
-    the Fourier-weighted quadrature of
+    a complex array of the same shape; every lag must be finite and
+    nonnegative.  Each lag is one exact residue sum of
+    :func:`_half_plane_sum`, which merges only repeated poles, with the
+    round-off bound of :func:`lorentz_product_integral`.  When the bound of
+    any lag fails :func:`accepts`, the whole call falls back, lag by lag,
+    to the Fourier-weighted quadrature of
     :func:`lorentz_transform_quadrature` under a single warning.
     """
     lags = np.asarray(tau, dtype=float)
-    if np.any(lags < 0.0):
-        raise ParameterError("transform lag must be nonnegative; use conjugation for tau < 0")
-    values, bounds = _half_plane_sum(prod.factors, lags)
-    if not all(map(accepts, np.abs(values).ravel().tolist(), bounds.ravel().tolist())):
+    if not np.all((0.0 <= lags) & (lags < np.inf)):
+        raise ParameterError("transform lags must be finite and >= 0; use conjugation for tau < 0")
+    flat = lags.ravel().tolist()
+    sums = [_half_plane_sum(prod.factors, t) for t in flat]
+    if all(accepts(abs(value), bound) for value, bound in sums):
+        values = [value for value, _ in sums]
+    else:
         warn_at_caller(
             "near-coincident poles: transform falls back to adaptive quadrature",
             DegeneratePolesWarning,
         )
-        values = np.array(
-            [lorentz_transform_quadrature(prod, float(t)) for t in lags.flat]
-        ).reshape(lags.shape)
-    return complex(values) if lags.ndim == 0 else values
+        values = [lorentz_transform_quadrature(prod, t) for t in flat]
+    return values[0] if lags.ndim == 0 else np.array(values, dtype=complex).reshape(lags.shape)
 
 
 def lorentz_transform_quadrature(prod: LorentzProduct, tau: float) -> complex:
@@ -357,11 +347,12 @@ def lorentz_transform_quadrature(prod: LorentzProduct, tau: float) -> complex:
     to the Fourier-weighted adaptive quadrature (cycle summation with
     extrapolation), so no truncation cutoff enters.  Zero lag is
     :func:`adaptive_integral`'s; other lags use absolute tolerance 1e-11.
+    A lag that is not finite and >= 0 raises :class:`ParameterError`.
     """
     from scipy.integrate import quad
 
-    if tau < 0.0:
-        raise ParameterError("transform lag must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise ParameterError("transform lag must be finite and nonnegative")
     if tau == 0.0:
         return complex(adaptive_integral(lambda w: prod.value(w) / TWO_PI).value)
 

@@ -15,7 +15,8 @@ quadrature of their defining integrals at any working precision; K0 has
 the same ``mpmath`` route.  ``exact_lorentz_integral`` sums the residues
 of any Lorentzian product in exact rational arithmetic, the reference
 every residue and quadrature result is measured against without a
-working precision to choose.  ``dominant_oscillation_frequency`` reads
+working precision to choose; ``exact_kernels`` applies it to the
+definitions of K1 and K2.  ``dominant_oscillation_frequency`` reads
 the beat frequency off a lag curve.  ``lorentz_value_route``,
 ``product_value_route`` and ``half_plane_sum_route`` are the residue
 engine as it was before its scalar fast paths (every point through a 0-d
@@ -45,7 +46,6 @@ from fpinoise.cavity import FpiParams, SpectrumGrid, mean_photon_number
 from fpinoise.errors import ParameterError
 from fpinoise.fluctuations import SpectrumDecomposition
 from fpinoise.lorentz import (
-    GROUP_FACTOR,
     TWO_PI,
     Lorentzian,
     LorentzProduct,
@@ -298,6 +298,29 @@ def exact_lorentz_integral(lines):
     return total[1], -total[0]
 
 
+def exact_kernels(w: float, g: float, k: float, d: float):
+    """K1 and K2 at the float inputs, exactly, from their defining integrals.
+
+    g = gamma_l, k = kappa_t, d = delta.  With s(u) = L(u, g) L(u - d, k),
+    K1 = (1/4pi) * integral [s(u - w) + s(u + w)] L(u - d, k) du and
+    K2 = (1/2pi) * integral L(u - w, g) L(u, g) [L(u - w - d, k) + L(u - d, k)] du,
+    each split into its Lorentzian products and summed by
+    :func:`exact_lorentz_integral`.  Every shifted center is formed in
+    rational arithmetic, so nothing is rounded.  Returns (K1, K2) as
+    ``Fraction``s.
+    """
+    w, d = Fraction(w), Fraction(d)
+    k1 = (
+        exact_lorentz_integral([(w, g), (w + d, k), (d, k)])[0]
+        + exact_lorentz_integral([(-w, g), (d - w, k), (d, k)])[0]
+    ) / 2
+    k2 = (
+        exact_lorentz_integral([(w, g), (0, g), (w + d, k)])[0]
+        + exact_lorentz_integral([(w, g), (0, g), (d, k)])[0]
+    )
+    return k1, k2
+
+
 def lorentz_value_route(omega, line: Lorentzian):
     """L(omega; center, hwhm) with every argument through a numpy array."""
     d = np.asarray(omega, dtype=float) - line.center
@@ -316,25 +339,20 @@ def product_value_route(prod: LorentzProduct, omega):
     return out
 
 
-def half_plane_sum_route(centers, widths, tau):
-    """Lower-half-plane residue sum that groups both half-planes separately."""
-    group_tol = GROUP_FACTOR * float(sum(widths))
-
-    lower = [complex(c, -k) for c, k in zip(centers, widths)]
-    upper = [complex(c, +k) for c, k in zip(centers, widths)]
-    lower_groups = _group_poles(lower, group_tol)
-    upper_groups = _group_poles(upper, group_tol)
+def half_plane_sum_route(centers, widths, tau: float):
+    """Lower-half-plane residue sum at one lag that groups both half-planes separately."""
+    lower_groups = _group_poles([complex(c, -k) for c, k in zip(centers, widths)])
+    upper_groups = _group_poles([complex(c, +k) for c, k in zip(centers, widths)])
 
     prefactor = 1.0
     for k in widths:
         prefactor *= 2.0 * k
 
-    exp = np.exp if isinstance(tau, np.ndarray) else cmath.exp
     all_groups = lower_groups + upper_groups
     total = 0.0 + 0.0j
     for pole, mult in lower_groups:
         others = [(q, mq) for q, mq in all_groups if q is not pole]
-        h0 = prefactor * exp(-1j * pole * tau)
+        h0 = prefactor * cmath.exp(-1j * pole * tau)
         for q, mq in others:
             h0 /= (pole - q) ** mq
         if mult == 1:

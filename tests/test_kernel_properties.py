@@ -4,8 +4,9 @@ Draws cover generic cavities and the near-coincident poles a residue sum
 cancels at (delta = 0 or tiny, gamma_l = kappa_t (1 + eps)), at, near
 and away from w = 0.  Every draw is checked against a 30-digit ``mpmath``
 quadrature of the defining integrals: the closed forms K1 and K2 to
-1e-13 relative, and K0's Lorentz-product integral to within the error
-estimate it returns, which meets the default quadrature tolerance.  The
+1e-13 relative (and to 16 u of their exact rational values), and K0's
+Lorentz-product integral to within the error estimate it returns, which
+meets the default quadrature tolerance.  The
 quantum sum rule and the zero-lag identities hold to 1e-15, and the
 reflected noise stays above minus its round-off bound, also in a stratum
 at critical coupling with narrow drive lines.  The line-mode lag
@@ -53,6 +54,7 @@ from fpinoise.cavity import reflected_power, transmitted_power  # noqa: E402
 from fpinoise.lorentz import REL_TOL, accepts  # noqa: E402
 from fpinoise.source import KAPPA_L, source_linewidth  # noqa: E402
 from routes import (  # noqa: E402
+    exact_kernels,
     exact_lorentz_integral,
     mp_classical_kernel,
     mp_commutator_kernels,
@@ -103,6 +105,27 @@ def test_kernels_positive_even_and_exact(kappa1, kappa2, kappa0, delta, eps, p_i
         exact1, exact2 = mp_commutator_kernels(mp, omega, source_linewidth(src), fpi.kappa_t, delta)
         assert abs(k1 / exact1 - 1) <= 1e-13
         assert abs(k2 / exact2 - 1) <= 1e-13
+
+
+# Relative error of the closed-form K1 and K2 against their exact values
+# at the float inputs, in units of u = 2^-53; 900 random draws like DRAWS
+# reached 8.0 u.
+CLOSED_FORM_ULPS = 16
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@DRAWS
+def test_quantum_and_cross_kernels_match_the_exact_route(
+    kappa1, kappa2, kappa0, delta, eps, p_in, omega
+):
+    fpi, src = _draw(kappa1, kappa2, kappa0, delta, eps, p_in)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = quantum_noise_kernel(omega, fpi, src), reflection_cross_kernel(omega, fpi, src)
+    exact = exact_kernels(omega, source_linewidth(src), fpi.kappa_t, delta)
+    for name, value, reference in zip(("K1", "K2"), values, exact):
+        ulps = abs(Fraction(value) - reference) / reference * 2**53
+        assert ulps <= CLOSED_FORM_ULPS, (name, float(ulps))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

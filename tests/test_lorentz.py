@@ -1,8 +1,13 @@
 """Lorentzian primitives: residue integrals against the quadrature oracle."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +25,7 @@ from fpinoise import (
 )
 import fpinoise.lorentz as lorentz
 from fpinoise.config import DEFAULT_TAU_GRID
-from fpinoise.lorentz import TWO_PI, lorentz_transform_quadrature, map_over_omega
+from fpinoise.lorentz import REL_TOL, TWO_PI, lorentz_transform_quadrature, map_over_omega
 from fpinoise.source import source_linewidth
 from routes import (
     exact_lorentz_integral,
@@ -373,6 +378,50 @@ class TestProductTransform:
         per_lag = [lorentz_transform_quadrature(prod, float(t)) for t in taus]
         assert np.array_equal(values, np.array(per_lag))
 
+    def test_distinct_poles_of_a_narrow_line_stay_apart_at_every_lag(self):
+        # the K0 product at gamma_l = 1e-9, kappa_t = 1.7, delta = 0 and
+        # w = 1e-12: the two narrow lines are 1e-12 apart, and taking them
+        # for one double pole puts lag 0 off by 2.5e-7 relative
+        pairs = [(1e-12, 1e-9), (1e-12, 1.7), (0.0, 1e-9), (0.0, 1.7)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = lorentz_product_transform(product(*pairs), np.array([0.0, 0.5, 2.0]))
+        exact, _ = exact_lorentz_integral(pairs)
+        assert abs(Fraction(values[0].real) - exact) <= Fraction(REL_TOL) * exact
+
+    def test_lags_that_are_not_finite_are_rejected(self):
+        # scipy's Fourier-weighted quad crashes the interpreter on a NaN or
+        # infinite lag, so the calls run in a child process
+        script = textwrap.dedent(
+            """
+            import math
+            import numpy as np
+            from fpinoise.errors import ParameterError
+            from fpinoise.lorentz import (
+                Lorentzian, LorentzProduct, lorentz_product_transform, lorentz_transform_quadrature,
+            )
+            prod = LorentzProduct((Lorentzian(0.0, 0.5), Lorentzian(5.0, 1.1)))
+            for bad in (math.nan, math.inf, -math.inf):
+                for name, call, lag in (
+                    ("quadrature", lorentz_transform_quadrature, bad),
+                    ("transform", lorentz_product_transform, bad),
+                    ("transform", lorentz_product_transform, np.array([[0.0, 1.0], [bad, 2.0]])),
+                ):
+                    try:
+                        call(prod, lag)
+                    except ParameterError:
+                        continue
+                    raise SystemExit(f"{name} accepted the lag {lag!r}")
+            """
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        )
+        assert run.returncode == 0, (run.returncode, run.stderr)
+
 
 def _random_pairs(rng, n: int) -> list[tuple[float, float]]:
     return [(float(rng.uniform(-10, 10)), float(rng.uniform(0.05, 5))) for _ in range(n)]
@@ -406,7 +455,8 @@ class TestEngineMatchesRoute:
         for pairs in _route_cases(rng):
             centers, widths = zip(*pairs)
             values = lorentz_product_transform(product(*pairs), taus)
-            assert _bits(values) == _bits(half_plane_sum_route(centers, widths, taus)), pairs
+            per_lag = [half_plane_sum_route(centers, widths, t) for t in taus.ravel().tolist()]
+            assert _bits(values) == _bits(np.reshape(per_lag, taus.shape)), pairs
 
     def test_fallback_equals_quadrature_of_route_integrand(self, monkeypatch):
         monkeypatch.setattr(lorentz, "CLUSTER_RATIO", 0.0)
